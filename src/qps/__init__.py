@@ -18,12 +18,7 @@ from .circuit import (
     Gate,
     QubitRegister,
     ResourceReport,
-    adjoint,
-    append,
-    compose,
     count_resources,
-    depth,
-    serialize_circuit,
 )
 from .identities import (
     AngleSequence,
@@ -36,9 +31,7 @@ from .identities import (
 )
 from .poisson import (
     EigenPair,
-    PoissonProblem,
     TridiagonalSystem,
-    discretize,
     eigenpair,
     eigenvalue,
     solve_classical,

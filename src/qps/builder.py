@@ -106,24 +106,20 @@ def bc_matrix(n: int) -> np.ndarray:
 
 
 def build_bc(n: int, materialize: bool = True) -> Gate:
-    if not 2 <= n <= MAX_BC_QUBITS:
+    """The basis-conversion block; counting-only (matrix None) unless materialized."""
+    if n < 2 or (materialize and n > MAX_BC_QUBITS):
         raise ValueError(f"basis conversion supports 2 <= n <= {MAX_BC_QUBITS}, got {n}")
     matrix = bc_matrix(n) if materialize else None
     return Gate.block(matrix, targets=tuple(range(n)), label="BC")
 
 
-def _bc_placeholder(n: int) -> Gate:
-    # counting-only variant for report sizes beyond the simulable range
-    return Gate.block(None, targets=tuple(range(n)), label="BC")
-
-
-def _pair(regs, s: int) -> tuple[int, int]:
-    e = next(r for r in regs if r.name == "E")
+def _pair(layout: Circuit, s: int) -> tuple[int, int]:
+    e = layout.register("E")
     return (e.qubit(2 * s), e.qubit(2 * s + 1))
 
 
-def _global_pattern(regs, m: int) -> tuple[tuple[int, bool], ...]:
-    b = next(r for r in regs if r.name == "B")
+def _global_pattern(layout: Circuit, m: int) -> tuple[tuple[int, bool], ...]:
+    b = layout.register("B")
     return tuple((b.qubit(t), False) for t in range(m)) + ((b.qubit(m), True),)
 
 
@@ -133,10 +129,10 @@ def _term_width(n: int, m: int, k: int) -> int:
     return min(k, n - m - 1)
 
 
-def _emit_slot_bitwise(gates, regs, n, m, s, source):
+def _emit_slot_bitwise(gates, layout, n, m, s, source):
     """Signed-angle decomposition of slot s of module m, controls = source."""
-    b = next(r for r in regs if r.name == "B")
-    pair = _pair(regs, s)
+    b = layout.register("B")
+    pair = _pair(layout, s)
     if s < m:
         gates.append(Gate.ry(math.pi / 3.0, pair, source))
         return
@@ -149,10 +145,10 @@ def _emit_slot_bitwise(gates, regs, n, m, s, source):
         )
 
 
-def _emit_slot_semantic(gates, regs, n, m, s, source):
+def _emit_slot_semantic(gates, layout, n, m, s, source):
     """One exact multi-controlled rotation pair per local bit pattern."""
-    b = next(r for r in regs if r.name == "B")
-    pair = _pair(regs, s)
+    b = layout.register("B")
+    pair = _pair(layout, s)
     if s < m:
         gates.append(Gate.ry(math.pi / 3.0, pair, source))
         return
@@ -174,12 +170,12 @@ def _bitwise_unit_count(n: int, m: int) -> int:
     return units
 
 
-def _emit_module_serial(gates, regs, n, m, ry_construction):
-    anc = next(r for r in regs if r.name == "Anc")
-    pattern = _global_pattern(regs, m)
+def _emit_module_serial(gates, layout, n, m, ry_construction):
+    anc = layout.register("Anc")
+    pattern = _global_pattern(layout, m)
     if ry_construction == SEMANTIC:
         for s in range(n - 1):
-            _emit_slot_semantic(gates, regs, n, m, s, pattern)
+            _emit_slot_semantic(gates, layout, n, m, s, pattern)
         return
     # route wide patterns through Anc when that is cheaper than widening
     # every rotation in the module
@@ -188,36 +184,36 @@ def _emit_module_serial(gates, regs, n, m, ry_construction):
         work = ((anc.qubit(0), True),)
         gates.append(Gate.x(anc.qubit(0), pattern))
         for s in range(n - 1):
-            _emit_slot_bitwise(gates, regs, n, m, s, work)
+            _emit_slot_bitwise(gates, layout, n, m, s, work)
         gates.append(Gate.x(anc.qubit(0), pattern))
     else:
         for s in range(n - 1):
-            _emit_slot_bitwise(gates, regs, n, m, s, pattern)
+            _emit_slot_bitwise(gates, layout, n, m, s, pattern)
 
 
 def build_inversion_serial(n: int, ry_construction: str = BITWISE) -> Circuit:
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    regs = standard_registers(n)
+    layout = Circuit(standard_registers(n))
     gates: list[Gate] = []
     for m in range(n):
-        _emit_module_serial(gates, regs, n, m, ry_construction)
-    return Circuit(regs, gates)
+        _emit_module_serial(gates, layout, n, m, ry_construction)
+    return Circuit(layout.registers, gates)
 
 
 def build_inversion_parallel(n: int, ry_construction: str = BITWISE) -> Circuit:
     if n < 3:
         raise ValueError(f"parallel construction requires n >= 3, got {n}")
-    regs = standard_registers(n, parallel=True)
-    c = next(r for r in regs if r.name == "C")
-    b = next(r for r in regs if r.name == "B")
-    anc = next(r for r in regs if r.name == "Anc")
+    layout = Circuit(standard_registers(n, parallel=True))
+    c = layout.register("C")
+    b = layout.register("B")
+    anc = layout.register("Anc")
     emit_slot = _emit_slot_semantic if ry_construction == SEMANTIC else _emit_slot_bitwise
 
     gates: list[Gate] = []
     # CP: one multi-controlled NOT per module writes the pattern "lowest m
     # bits zero, bit m set" into C[m-1]
-    cp = [Gate.x(c.qubit(m - 1), _global_pattern(regs, m)) for m in range(1, n - 1)]
+    cp = [Gate.x(c.qubit(m - 1), _global_pattern(layout, m)) for m in range(1, n - 1)]
     gates.extend(cp)
 
     # RYP_r groups one slot of every module so the rotation units land on
@@ -226,56 +222,28 @@ def build_inversion_parallel(n: int, ry_construction: str = BITWISE) -> Circuit:
         for m in range(n - 1):
             s = (r + m) % (n - 1)
             source = ((b.qubit(0), True),) if m == 0 else ((c.qubit(m - 1), True),)
-            emit_slot(gates, regs, n, m, s, source)
+            emit_slot(gates, layout, n, m, s, source)
 
     # all-constant module for j = 2**(n-1), routed through Anc
-    pattern = _global_pattern(regs, n - 1)
+    pattern = _global_pattern(layout, n - 1)
     if ry_construction == SEMANTIC or n == 3:
         for s in range(n - 1):
-            gates.append(Gate.ry(math.pi / 3.0, _pair(regs, s), pattern))
+            gates.append(Gate.ry(math.pi / 3.0, _pair(layout, s), pattern))
     else:
         work = ((anc.qubit(0), True),)
         gates.append(Gate.x(anc.qubit(0), pattern))
         for s in range(n - 1):
-            gates.append(Gate.ry(math.pi / 3.0, _pair(regs, s), work))
+            gates.append(Gate.ry(math.pi / 3.0, _pair(layout, s), work))
         gates.append(Gate.x(anc.qubit(0), pattern))
 
     gates.extend(reversed(cp))
-    return Circuit(regs, gates)
+    return Circuit(layout.registers, gates)
 
 
-def build_flag(n: int, parallel: bool = False) -> Circuit:
-    regs = standard_registers(n, parallel=parallel)
-    e = next(r for r in regs if r.name == "E")
-    anc = next(r for r in regs if r.name == "Anc")
-    controls = tuple((q, True) for q in e.qubits)
-    return Circuit(regs, [Gate.x(anc.qubit(0), controls)])
-
-
-def build_qps(config: QpsConfig, materialize_bc: bool | None = None,
-              _fault: bool = False) -> Circuit:
-    n = config.n
-    parallel = config.mode == PARALLEL
-    regs = standard_registers(n, parallel=parallel)
-    if materialize_bc is None:
-        materialize_bc = n <= MAX_BC_QUBITS
-    bc = build_bc(n) if materialize_bc else _bc_placeholder(n)
-
-    if parallel:
-        inversion = build_inversion_parallel(n, config.ry_construction)
-    else:
-        inversion = build_inversion_serial(n, config.ry_construction)
-    inv_gates = list(inversion.gates)
-    if _fault:
-        # test hook: perturb the first rotation angle so verification trips
-        for pos, g in enumerate(inv_gates):
-            if g.kind == "ry":
-                inv_gates[pos] = Gate.ry(g.angle + 0.1, g.targets, g.controls)
-                break
-
-    flag = build_flag(n, parallel=parallel).gates[0]
-    gates = [bc] + inv_gates + [flag, bc.adjoint()]
-    return Circuit(regs, gates)
+def build_flag(layout: Circuit) -> Gate:
+    """NOT on Anc controlled by every E qubit: the success flag."""
+    controls = tuple((q, True) for q in layout.register("E").qubits)
+    return Gate.x(layout.register("Anc").qubit(0), controls)
 
 
 def inversion_stage_circuit(config: QpsConfig) -> Circuit:
@@ -283,6 +251,17 @@ def inversion_stage_circuit(config: QpsConfig) -> Circuit:
     if config.mode == PARALLEL:
         return build_inversion_parallel(config.n, config.ry_construction)
     return build_inversion_serial(config.n, config.ry_construction)
+
+
+def build_qps(config: QpsConfig, materialize_bc: bool | None = None) -> Circuit:
+    """BC, eigenvalue inversion, success flag, BC-dagger, in that gate order."""
+    layout = Circuit(standard_registers(config.n, parallel=config.mode == PARALLEL))
+    if materialize_bc is None:
+        materialize_bc = config.n <= MAX_BC_QUBITS
+    bc = build_bc(config.n, materialize_bc)
+    inversion = inversion_stage_circuit(config)
+    gates = [bc, *inversion.gates, build_flag(layout), bc.adjoint()]
+    return Circuit(layout.registers, gates)
 
 
 def _register_amplitudes(n: int, b_hat: np.ndarray) -> np.ndarray:
@@ -297,9 +276,17 @@ def solve(config: QpsConfig, b) -> QpsSolution:
         raise ValueError(
             f"right-hand side must have length 2**n - 1 = {2**config.n - 1}"
         )
-    norm = np.linalg.norm(rhs)
-    if norm == 0.0:
+    if not np.all(np.isfinite(rhs)):
+        raise ValueError("right-hand side has a non-finite entry")
+    peak = np.max(np.abs(rhs))
+    if peak == 0.0:
         raise ValueError("zero right-hand side")
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(rhs)
+    if norm == 0.0 or np.isinf(norm):
+        # under- or overflow; rescaling only here keeps every other b_hat bit-identical
+        rhs = rhs / peak
+        norm = np.linalg.norm(rhs)
     b_hat = rhs / norm
 
     circuit = build_qps(config)

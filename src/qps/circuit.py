@@ -134,10 +134,6 @@ class Gate:
         return cls(kind="x", targets=(target,), controls=tuple(controls))
 
     @classmethod
-    def cnot(cls, control: int, target: int) -> "Gate":
-        return cls.x(target, controls=((control, True),))
-
-    @classmethod
     def block(cls, matrix, targets, label: str) -> "Gate":
         return cls(kind="block", targets=tuple(targets),
                    matrix=None if matrix is None else np.asarray(matrix, dtype=complex),
@@ -184,14 +180,6 @@ class Circuit:
     def register(self, name: str) -> QubitRegister:
         return self._by_name[name]
 
-    def append(self, gate: Gate) -> "Circuit":
-        return Circuit(self.registers, self.gates + (gate,))
-
-    def compose(self, other: "Circuit") -> "Circuit":
-        if other.registers != self.registers:
-            raise ValueError("compose requires identical register layouts")
-        return Circuit(self.registers, self.gates + other.gates)
-
     def adjoint(self) -> "Circuit":
         return Circuit(self.registers, tuple(g.adjoint() for g in reversed(self.gates)))
 
@@ -200,18 +188,6 @@ class Circuit:
 
     def __iter__(self):
         return iter(self.gates)
-
-
-def append(circuit: Circuit, gate: Gate) -> Circuit:
-    return circuit.append(gate)
-
-
-def compose(a: Circuit, b: Circuit) -> Circuit:
-    return a.compose(b)
-
-
-def adjoint(circuit: Circuit) -> Circuit:
-    return circuit.adjoint()
 
 
 @dataclass(frozen=True)
@@ -230,6 +206,14 @@ class CostModel:
     x_base: tuple[int, ...] = (1, 1)
     linear_coefficient: int = 16
     block_coefficient: float = 2.0
+
+    def __post_init__(self):
+        if not self.ry_base or not self.x_base:
+            raise ValueError("cost model base tables must not be empty")
+        costs = (*self.ry_base, *self.x_base, self.linear_coefficient,
+                 self.block_coefficient)
+        if not all(c >= 0 for c in costs):  # also rejects NaN
+            raise ValueError("cost model costs must be non-negative")
 
     def gate_cost(self, gate: Gate) -> int:
         c = len(gate.controls)
@@ -300,16 +284,6 @@ def _asap_depth(circuit: Circuit, spans) -> int:
     return max(frontier, default=0)
 
 
-def depth(circuit: Circuit, cost_model: CostModel | None = None) -> int:
-    """Expanded ASAP depth (each gate occupies its elementary-depth)."""
-    cm = cost_model or DEFAULT_COST_MODEL
-    return _asap_depth(circuit, [cm.gate_cost(g) for g in circuit.gates])
-
-
-def native_depth(circuit: Circuit) -> int:
-    return _asap_depth(circuit, [1] * len(circuit.gates))
-
-
 def count_resources(circuit: Circuit, cost_model: CostModel | None = None) -> ResourceReport:
     cm = cost_model or DEFAULT_COST_MODEL
     costs = [cm.gate_cost(g) for g in circuit.gates]
@@ -320,19 +294,3 @@ def count_resources(circuit: Circuit, cost_model: CostModel | None = None) -> Re
         depth_native=_asap_depth(circuit, [1] * len(costs)),
     )
 
-
-def serialize_circuit(circuit: Circuit) -> str:
-    """One gate per line: kind, angle, targets, controls with polarity."""
-    lines = []
-    for g in circuit.gates:
-        head = g.kind if g.label is None else f"{g.kind}[{g.label}]"
-        parts = [head]
-        if g.angle is not None:
-            parts.append(repr(g.angle))
-        parts.append("t=" + ",".join(str(t) for t in g.targets))
-        if g.controls:
-            parts.append("c=" + ",".join(
-                ("+" if pol else "-") + str(q) for q, pol in g.controls
-            ))
-        lines.append(" ".join(parts))
-    return "\n".join(lines)

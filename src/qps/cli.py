@@ -16,11 +16,12 @@ from .builder import (
     PARALLEL,
     QpsConfig,
     QpsSolution,
+    build_inversion_serial,
     build_qps,
     inversion_stage_circuit,
     solve,
 )
-from .circuit import CostModel, count_resources
+from .circuit import Circuit, CostModel, Gate, count_resources
 from .identities import (
     MAX_IDENTITY_N,
     inversion_identity_error,
@@ -30,11 +31,12 @@ from .identities import (
 from .poisson import (
     PRESETS,
     TridiagonalSystem,
+    eigenvalue,
     preset_rhs,
     solve_classical,
     spectral_solve,
 )
-from .simulator import fidelity
+from .simulator import StateVector, apply, fidelity, inject_register
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -175,8 +177,6 @@ def cmd_solve(args) -> int:
     config = QpsConfig(n=args.n, mode=args.mode, ry_construction=args.ry,
                        cost_model=_cost_model())
     b = _load_b(args, args.n)
-    if not np.any(b):
-        raise ConfigError("zero right-hand side")
     sol = solve(config, b)
     _emit_solution(args, config, sol, b)
     return EXIT_OK
@@ -195,21 +195,16 @@ def verification_checks(n_max: int = 4, seed: int = 0, trials: int = 10,
     worst = max(inversion_identity_error(n) for n in range(2, min(n_max, 12) + 1))
     checks.append(("inversion identity", worst <= 1e-12, f"max rel {worst:.2e}"))
 
-    from .poisson import eigenvalue
-    from .simulator import StateVector, apply, inject_register
-    from .builder import build_inversion_serial
-
     worst = 0.0
     for n in range(2, min(n_max, 6) + 1):
         audit = build_inversion_serial(n)
         if fault:
-            from .circuit import Circuit as _Circuit, Gate as _Gate
             gates = list(audit.gates)
             for pos, g in enumerate(gates):
                 if g.kind == "ry":
-                    gates[pos] = _Gate.ry(g.angle + 0.1, g.targets, g.controls)
+                    gates[pos] = Gate.ry(g.angle + 0.1, g.targets, g.controls)
                     break
-            audit = _Circuit(audit.registers, gates)
+            audit = Circuit(audit.registers, gates)
         breg = audit.register("B")
         ones = (2 ** (2 * n - 2) - 1) << n
         for j in range(1, 2**n):
@@ -343,14 +338,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, mode=True):
+    def add_common(p, *outputs, mode=True):
         if mode:
             p.add_argument("--mode", choices=["serial", "parallel"], default="serial")
             p.add_argument("--ry", choices=["semantic", "bitwise"], default="bitwise")
-        p.add_argument("--output", choices=["human", "json", "csv"], default="human")
+        p.add_argument("--output", choices=["human", *outputs], default="human")
 
     p = sub.add_parser("demo", help="reproduce the 6-qubit n=2 demonstration")
-    add_common(p)
+    add_common(p, "json")
     p.set_defaults(func=cmd_demo)
 
     p = sub.add_parser("solve", help="solve -v'' = b for a given right-hand side")
@@ -358,8 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", help=f"named b: {sorted(PRESETS)}")
     p.add_argument("--file", help="CSV file, one value per line, 2**n - 1 lines")
     p.add_argument("--b", help="inline comma-separated values")
-    p.add_argument("--seed", type=int, default=0)
-    add_common(p)
+    add_common(p, "json", "csv")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("verify", help="run the invariant suites")
@@ -367,17 +361,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--inject-fault", action="store_true",
                    help="test hook: perturb one rotation angle")
-    add_common(p, mode=False)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("identities", help="tabulate the sine-identity residuals")
     p.add_argument("--n-max", type=int, default=12)
-    add_common(p, mode=False)
+    add_common(p, "json", mode=False)
     p.set_defaults(func=cmd_identities)
 
     p = sub.add_parser("report", help="resource report (construction only)")
     p.add_argument("--n", type=int, required=True)
-    add_common(p)
+    add_common(p, "json")
     p.set_defaults(func=cmd_report)
 
     return parser

@@ -15,9 +15,7 @@ Identity checks run in log-domain so n up to 14 stays stable.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .poisson import eigenvalue
 
@@ -118,16 +116,3 @@ def odd_layer_residual(n: int) -> float:
     log_rhs = (n + 2 - (1 << (n + 1))) * LN2
     return abs(log_lhs - log_rhs)
 
-
-def angle_multiset_flat(n: int) -> Counter:
-    """Angular coefficients j / 2**(n+1) of the flat product, as exact rationals."""
-    return Counter(Fraction(j, 1 << (n + 1)) for j in range(1, 2**n))
-
-
-def angle_multiset_layers(n: int) -> Counter:
-    """Coefficients (2j-1) / 2**(k+1) from the per-layer odd terms."""
-    out: Counter = Counter()
-    for k in range(1, n + 1):
-        for j in range(1, 2 ** (k - 1) + 1):
-            out[Fraction(2 * j - 1, 1 << (k + 1))] += 1
-    return out

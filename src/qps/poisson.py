@@ -25,31 +25,6 @@ def _as_vector(b) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class PoissonProblem:
-    """-v'' = b on (0,1) with v(0) = v(1) = 0, sampled on 2**n cells."""
-
-    n: int
-    b: np.ndarray
-    source_label: str | None = None
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"n must be >= 2, got {self.n}")
-        v = _as_vector(self.b)
-        if len(v) != 2**self.n - 1:
-            raise ValueError(
-                f"b must have length 2**n - 1 = {2**self.n - 1}, got {len(v)}"
-            )
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "b", v)
-
-    @property
-    def grid_count(self) -> int:
-        return 2**self.n
-
-
-@dataclass(frozen=True)
 class TridiagonalSystem:
     """h**-2 * tridiag(-1, 2, -1) with h = 1/N; rows are (-N^2, 2N^2, -N^2)."""
 
@@ -80,10 +55,6 @@ class EigenPair:
     u: np.ndarray
 
 
-def discretize(problem: PoissonProblem) -> TridiagonalSystem:
-    return TridiagonalSystem(N=problem.grid_count)
-
-
 def eigenvalue(n: int, j: int) -> float:
     """lambda_j = 4 N^2 sin^2(j pi / 2N) for the N-1 dimensional system."""
     N = 2**n
@@ -107,15 +78,6 @@ def dst_matrix(N: int) -> np.ndarray:
     """
     idx = np.arange(1, N)
     return np.sqrt(2.0 / N) * np.sin(np.outer(idx, idx) * np.pi / N)
-
-
-def spectral_coefficients(n: int, b) -> np.ndarray:
-    """beta_j = <u_j, b> for j = 1..N-1."""
-    v = _as_vector(b)
-    N = 2**n
-    if len(v) != N - 1:
-        raise ValueError(f"b must have length {N - 1}")
-    return dst_matrix(N) @ v
 
 
 def solve_classical(system: TridiagonalSystem, b) -> np.ndarray:

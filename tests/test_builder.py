@@ -12,7 +12,7 @@ from qps.builder import (
     solve,
     standard_registers,
 )
-from qps.circuit import count_resources
+from qps.circuit import Circuit, count_resources
 from qps.poisson import TridiagonalSystem, eigenpair, eigenvalue, solve_classical
 from qps.simulator import (
     StateVector,
@@ -121,7 +121,8 @@ def test_amplitude_audit_exhaustive(ry, n):
 
 def test_flag_behaviour():
     n = 3
-    flag = build_flag(n)
+    layout = Circuit(standard_registers(n))
+    flag = Circuit(layout.registers, [build_flag(layout)])
     e = flag.register("E")
     anc = flag.register("Anc")
     ones = (2 ** e.width - 1) << e.offset
@@ -141,10 +142,26 @@ def test_flag_behaviour():
 
 
 def test_qps_composition_uncomputes_bc():
-    circ = build_qps(QpsConfig(n=2))
-    assert circ.gates[0].label == "BC"
-    assert circ.gates[-1].label == "BC†"
-    assert np.allclose(circ.gates[0].matrix @ circ.gates[-1].matrix, np.eye(4), atol=1e-14)
+    # the stage structure perfbench's split_stages relies on:
+    # BC first, the E-controlled flag second to last, BC-dagger last
+    cases = [("serial", n) for n in (2, 3, 4)] + [("parallel", n) for n in (3, 4)]
+    for mode, n in cases:
+        circ = build_qps(QpsConfig(n=n, mode=mode))
+        bc, flag, bcdag = circ.gates[0], circ.gates[-2], circ.gates[-1]
+        assert (bc.kind, bc.label, bc.targets) == ("block", "BC", tuple(range(n)))
+        assert (bcdag.kind, bcdag.label, bcdag.targets) == ("block", "BC†", bc.targets)
+        assert np.allclose(bc.matrix @ bcdag.matrix, np.eye(2**n), atol=1e-14)
+        assert flag.kind == "x"
+        assert flag.targets == (circ.register("Anc").qubit(0),)
+        assert flag.controls == tuple((q, True) for q in circ.register("E").qubits)
+    # beyond the materializable range the BC blocks are counting-only
+    for mode in ("serial", "parallel"):
+        for n in (13, 14, 15):
+            circ = build_qps(QpsConfig(n=n, mode=mode), materialize_bc=False)
+            assert circ.gates[0].label == "BC" and circ.gates[-1].label == "BC†"
+            assert circ.gates[0].matrix is None and circ.gates[-1].matrix is None
+    with pytest.raises(ValueError):
+        build_bc(13)
 
 
 def test_demo_reproduction():

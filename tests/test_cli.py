@@ -166,3 +166,47 @@ def test_cost_model_env_override(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "report", "--n", "2", "--output", "json")
     assert code == EXIT_OK
     assert json.loads(out)["circuit"]["elementary_gates"] > baseline
+
+
+@pytest.mark.parametrize("b,code", [
+    ("nan,1,1", EXIT_CONFIG),
+    ("inf,1,1", EXIT_CONFIG),
+    ("1e308,1e308,1e308", EXIT_OK),   # the norm overflows
+    ("1e-320,1e-320,0", EXIT_OK),     # the norm underflows
+])
+def test_solve_extreme_rhs(capsys, b, code):
+    rc, out, err = run(capsys, "solve", "--n", "2", "--b", b, "--output", "json")
+    assert rc == code
+    if code == EXIT_OK:
+        assert json.loads(out)["fidelity"] >= 1 - 1e-10
+    else:
+        assert "non-finite" in err
+
+
+@pytest.mark.parametrize("model", [
+    {"ry_base": [], "linear_coefficient": -5},
+    {"x_base": []},
+    {"ry_base": [1, -2, 8]},
+    {"linear_coefficient": -1},
+    {"block_coefficient": -0.5},
+    {"block_coefficient": float("nan")},
+])
+def test_invalid_cost_model_rejected(tmp_path, capsys, monkeypatch, model):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    monkeypatch.setenv("QPS_COST_MODEL", str(path))
+    code, out, err = run(capsys, "report", "--n", "3")
+    assert code == EXIT_IO
+    assert "bad QPS_COST_MODEL file" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "--n", "2", "--output", "csv"],
+    ["verify", "--output", "json"],
+    ["solve", "--n", "2", "--preset", "sin", "--seed", "1"],
+])
+def test_unimplemented_options_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2

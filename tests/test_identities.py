@@ -5,8 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qps.identities import (
-    angle_multiset_flat,
-    angle_multiset_layers,
     inversion_angles,
     inversion_value,
     odd_factor,
@@ -131,7 +129,3 @@ def test_residual_rejects_out_of_range():
     with pytest.raises(ValueError):
         odd_layer_residual(15)
 
-
-@pytest.mark.parametrize("n", range(1, 9))
-def test_angle_multisets_agree_exactly(n):
-    assert angle_multiset_flat(n) == angle_multiset_layers(n)

@@ -5,31 +5,20 @@ from hypothesis import strategies as st
 
 from qps.poisson import (
     EigenPair,
-    PoissonProblem,
     TridiagonalSystem,
-    discretize,
     dst_matrix,
     eigenpair,
     eigenvalue,
     preset_rhs,
     preset_solution,
     solve_classical,
-    spectral_coefficients,
     spectral_solve,
     truncation_study,
 )
 
 
-def test_problem_validates_n_and_length():
-    PoissonProblem(n=2, b=np.ones(3))
-    with pytest.raises(ValueError):
-        PoissonProblem(n=1, b=np.ones(1))
-    with pytest.raises(ValueError):
-        PoissonProblem(n=2, b=np.ones(4))
-
-
 def test_discretize_n2_matrix_entries():
-    system = discretize(PoissonProblem(n=2, b=np.ones(3)))
+    system = TridiagonalSystem(N=4)
     A = system.matrix()
     assert A.shape == (3, 3)
     assert np.all(np.diag(A) == 32.0)
@@ -38,7 +27,7 @@ def test_discretize_n2_matrix_entries():
 
 
 def test_discretize_n3_diagonal():
-    system = discretize(PoissonProblem(n=3, b=np.ones(7)))
+    system = TridiagonalSystem(N=8)
     assert system.matrix().shape == (7, 7)
     assert system.matrix()[3, 3] == 128.0
 
@@ -141,13 +130,6 @@ def test_dst_matrix_is_orthogonal_involution():
     S = dst_matrix(16)
     assert np.max(np.abs(S @ S - np.eye(15))) <= 1e-12
     assert np.max(np.abs(S - S.T)) == 0.0
-
-
-def test_spectral_coefficients_pick_out_eigenvector():
-    beta = spectral_coefficients(3, eigenpair(3, 5).u)
-    expected = np.zeros(7)
-    expected[4] = 1.0
-    assert np.allclose(beta, expected, atol=1e-12)
 
 
 def test_truncation_error_halves_quadratically():

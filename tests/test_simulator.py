@@ -58,7 +58,7 @@ def test_rotation_pair_produces_sine_squares():
 
 def test_controlled_and_negative_controls():
     regs = (QubitRegister("q", 2, 0),)
-    cnot = Circuit(regs, [Gate.cnot(0, 1)])
+    cnot = Circuit(regs, [Gate.x(1, controls=((0, True),))])
     out = apply(_state([0, 1, 0, 0]), cnot)  # control qubit 0 set
     assert np.allclose(out.amplitudes, [0, 0, 0, 1])
     neg = Circuit(regs, [Gate.x(1, controls=((0, False),))])
@@ -139,7 +139,7 @@ def test_apply_then_adjoint_restores_state():
                 gates.append(Gate.ry(float(rng.standard_normal()), int(qubits[0]),
                                      controls=((int(qubits[1]), bool(rng.integers(2))),)))
             else:
-                gates.append(Gate.cnot(int(qubits[0]), int(qubits[1])))
+                gates.append(Gate.x(int(qubits[1]), controls=((int(qubits[0]), True),)))
         circ = Circuit(regs, gates)
         psi = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         state = _state(psi)
