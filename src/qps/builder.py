@@ -265,7 +265,7 @@ def build_qps(config: QpsConfig, materialize_bc: bool | None = None) -> Circuit:
 
 
 def _register_amplitudes(n: int, b_hat: np.ndarray) -> np.ndarray:
-    amps = np.zeros(2**n, dtype=complex)
+    amps = np.zeros(2**n)
     amps[1:] = b_hat
     return amps
 

@@ -208,7 +208,7 @@ def verification_checks(n_max: int = 4, seed: int = 0, trials: int = 10,
         breg = audit.register("B")
         ones = (2 ** (2 * n - 2) - 1) << n
         for j in range(1, 2**n):
-            amps = np.zeros(2**n, dtype=complex)
+            amps = np.zeros(2**n)
             amps[j] = 1.0
             st = inject_register(StateVector.ground(audit.num_qubits), breg, amps)
             out = apply(st, audit)
@@ -390,6 +390,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
 
 
 def entry():  # console-script wrapper

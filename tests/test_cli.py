@@ -210,3 +210,14 @@ def test_unimplemented_options_rejected(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+def test_runtime_error_maps_to_verify_exit(capsys, monkeypatch):
+    def failing_solve(config, b):
+        raise RuntimeError("postselection impossible: outcome probability 0")
+
+    monkeypatch.setattr("qps.cli.solve", failing_solve)
+    code, out, err = run(capsys, "solve", "--n", "2", "--preset", "sin")
+    assert code == EXIT_VERIFY
+    assert err == "error: postselection impossible: outcome probability 0\n"
+    assert "Traceback" not in out + err

@@ -1,7 +1,10 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qps.circuit import Circuit, Gate, QubitRegister
 from qps.simulator import (
@@ -31,6 +34,123 @@ def _random_unitary(dim, rng):
 def test_statevector_normalization_enforced():
     with pytest.raises(ValueError):
         StateVector(1, np.array([1.0, 1.0]))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(np.nan, 0),
+                                 complex(0, np.inf)])
+def test_non_finite_amplitudes_rejected(bad):
+    with pytest.raises(ValueError):
+        StateVector(1, np.array([bad, 0]))
+    with pytest.raises(ValueError):
+        inject_register(StateVector.ground(4), A, [bad, 1, 0, 0])
+
+
+def test_amplitude_dtypes():
+    assert StateVector.ground(3).amplitudes.dtype == np.float64
+    narrowed = StateVector(1, np.array([0.6 + 0j, 0.8 + 0j]))
+    assert narrowed.amplitudes.dtype == np.float64
+    assert np.array_equal(narrowed.amplitudes, [0.6, 0.8])
+    assert StateVector(1, np.array([0.6, 0.8j])).amplitudes.dtype == np.complex128
+    assert inject_register(StateVector.ground(4), A, [0, 1j, 0, 0]).amplitudes.dtype \
+        == np.complex128
+
+    real = Circuit(REGS, [Gate.ry(0.3, (0, 1), ((2, False),)), Gate.x(3),
+                          Gate.block(np.array([[0, 1], [1, 0]]), (2,), label="X")])
+    assert apply(StateVector.ground(4), real).amplitudes.dtype == np.float64
+    phase = Circuit(REGS, [Gate.block(np.diag([1, 1j]), (0,), label="S")])
+    out = apply(_state([1, 1] + [0] * 14), phase)
+    assert out.amplitudes.dtype == np.complex128
+    assert out.amplitudes[1] == pytest.approx(1j * 2**-0.5)
+
+
+def test_fused_ry_pair_equals_two_single_rotations():
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        angle = float(rng.uniform(-2 * math.pi, 2 * math.pi))
+        t0, t1, c = (int(v) for v in rng.permutation(4)[:3])
+        controls = ((c, bool(rng.integers(2))),)
+        state = _state(rng.standard_normal(16))
+        fused = apply(state, Circuit(REGS, [Gate.ry(angle, (t0, t1), controls)]))
+        split = apply(state, Circuit(REGS, [Gate.ry(angle, t0, controls),
+                                            Gate.ry(angle, t1, controls)]))
+        assert np.max(np.abs(fused.amplitudes - split.amplitudes)) <= 1e-15
+
+
+def _oracle_operator(q: int, gate: Gate) -> np.ndarray:
+    """The gate's full 2**q x 2**q matrix as a sum of Kronecker products."""
+    def kron(factors):  # factors keyed by qubit; qubit q-1 is the leftmost
+        return functools.reduce(np.kron, [factors.get(t, np.eye(2))
+                                          for t in reversed(range(q))])
+
+    def unit(row, col):
+        e = np.zeros((2, 2))
+        e[row, col] = 1.0
+        return e
+
+    projectors = {c: unit(int(p), int(p)) for c, p in gate.controls}
+    if gate.kind == "block":
+        # bit i of the matrix index is target i
+        active = sum(
+            gate.matrix[row, col] * kron({
+                **projectors,
+                **{t: unit((row >> i) & 1, (col >> i) & 1)
+                   for i, t in enumerate(gate.targets)},
+            })
+            for row in range(len(gate.matrix)) for col in range(len(gate.matrix))
+        )
+    else:
+        single = unit(0, 1) + unit(1, 0)
+        if gate.kind == "ry":
+            c, s = math.cos(gate.angle / 2), math.sin(gate.angle / 2)
+            single = np.array([[c, -s], [s, c]])
+        active = kron({**projectors, **{t: single for t in gate.targets}})
+    return np.eye(2**q) - kron(projectors) + active
+
+
+@st.composite
+def _random_circuits(draw):
+    q = draw(st.integers(1, 5))
+    gates = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["ry", "x", "real block", "complex block"]))
+        width = 1 if kind == "x" else draw(st.integers(1, min(2, q)))
+        order = draw(st.permutations(range(q)))
+        targets = tuple(order[:width])
+        controls = tuple((c, draw(st.booleans()))
+                         for c in order[width:width + draw(st.integers(0, q - width))])
+        if kind == "ry":
+            angle = draw(st.floats(-4 * math.pi, 4 * math.pi))
+            gates.append(Gate.ry(angle, targets, controls))
+        elif kind == "x":
+            gates.append(Gate.x(targets[0], controls))
+        else:
+            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            if kind == "real block":
+                matrix, _ = np.linalg.qr(rng.standard_normal((2**width,) * 2))
+            else:
+                matrix = _random_unitary(2**width, rng)
+            gates.append(Gate(kind="block", targets=targets, controls=controls,
+                              matrix=matrix, label=kind))
+    return Circuit((QubitRegister("q", q, 0),), gates)
+
+
+@settings(max_examples=150, deadline=None)
+@given(circuit=_random_circuits(), seed=st.integers(0, 2**32 - 1),
+       complex_state=st.booleans())
+def test_apply_matches_kron_oracle(circuit, seed, complex_state):
+    rng = np.random.default_rng(seed)
+    dim = 2**circuit.num_qubits
+    psi = rng.standard_normal(dim) + (1j * rng.standard_normal(dim) if complex_state else 0)
+    state = _state(psi)
+    expected = state.amplitudes
+    for gate in circuit.gates:
+        expected = _oracle_operator(circuit.num_qubits, gate) @ expected
+    out = apply(state, circuit)
+    assert np.max(np.abs(out.amplitudes - expected), initial=0.0) <= 1e-12
+    real = not complex_state and all(
+        g.matrix is None or not g.matrix.imag.any() for g in circuit.gates)
+    assert out.amplitudes.dtype == (np.float64 if real else np.complex128)
 
 
 def test_x_flips_qubit():
