@@ -207,7 +207,6 @@ def build_inversion_parallel(n: int, ry_construction: str = BITWISE) -> Circuit:
     layout = Circuit(standard_registers(n, parallel=True))
     c = layout.register("C")
     b = layout.register("B")
-    anc = layout.register("Anc")
     emit_slot = _emit_slot_semantic if ry_construction == SEMANTIC else _emit_slot_bitwise
 
     gates: list[Gate] = []
@@ -224,17 +223,8 @@ def build_inversion_parallel(n: int, ry_construction: str = BITWISE) -> Circuit:
             source = ((b.qubit(0), True),) if m == 0 else ((c.qubit(m - 1), True),)
             emit_slot(gates, layout, n, m, s, source)
 
-    # all-constant module for j = 2**(n-1), routed through Anc
-    pattern = _global_pattern(layout, n - 1)
-    if ry_construction == SEMANTIC or n == 3:
-        for s in range(n - 1):
-            gates.append(Gate.ry(math.pi / 3.0, _pair(layout, s), pattern))
-    else:
-        work = ((anc.qubit(0), True),)
-        gates.append(Gate.x(anc.qubit(0), pattern))
-        for s in range(n - 1):
-            gates.append(Gate.ry(math.pi / 3.0, _pair(layout, s), work))
-        gates.append(Gate.x(anc.qubit(0), pattern))
+    # the all-constant module j = 2**(n-1) is emitted as in the serial build
+    _emit_module_serial(gates, layout, n, n - 1, ry_construction)
 
     gates.extend(reversed(cp))
     return Circuit(layout.registers, gates)

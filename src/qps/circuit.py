@@ -274,23 +274,25 @@ class ResourceReport:
         }
 
 
-def _asap_depth(circuit: Circuit, spans) -> int:
-    frontier = [0] * circuit.num_qubits
-    for gate, span in zip(circuit.gates, spans):
-        qubits = gate.qubits
-        start = max(frontier[q] for q in qubits)
-        for q in qubits:
-            frontier[q] = start + span
-    return max(frontier, default=0)
-
-
 def count_resources(circuit: Circuit, cost_model: CostModel | None = None) -> ResourceReport:
     cm = cost_model or DEFAULT_COST_MODEL
-    costs = [cm.gate_cost(g) for g in circuit.gates]
+    total = 0
+    # ASAP frontiers: each gate occupies its elementary cost (serial) or one
+    # layer (native) on its qubits
+    serial = [0] * circuit.num_qubits
+    native = [0] * circuit.num_qubits
+    for gate in circuit.gates:
+        cost = cm.gate_cost(gate)
+        total += cost
+        qubits = gate.qubits
+        end_serial = max(serial[q] for q in qubits) + cost
+        end_native = max(native[q] for q in qubits) + 1
+        for q in qubits:
+            serial[q] = end_serial
+            native[q] = end_native
     return ResourceReport(
         qubits=circuit.num_qubits,
-        elementary_gates=sum(costs),
-        depth_serial=_asap_depth(circuit, costs),
-        depth_native=_asap_depth(circuit, [1] * len(costs)),
+        elementary_gates=total,
+        depth_serial=max(serial, default=0),
+        depth_native=max(native, default=0),
     )
-

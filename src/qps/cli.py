@@ -12,31 +12,11 @@ import sys
 
 import numpy as np
 
-from .builder import (
-    PARALLEL,
-    QpsConfig,
-    QpsSolution,
-    build_inversion_serial,
-    build_qps,
-    inversion_stage_circuit,
-    solve,
-)
-from .circuit import Circuit, CostModel, Gate, count_resources
-from .identities import (
-    MAX_IDENTITY_N,
-    inversion_identity_error,
-    odd_layer_residual,
-    sine_formula_residual,
-)
-from .poisson import (
-    PRESETS,
-    TridiagonalSystem,
-    eigenvalue,
-    preset_rhs,
-    solve_classical,
-    spectral_solve,
-)
-from .simulator import StateVector, apply, fidelity, inject_register
+from . import verify
+from .builder import PARALLEL, QpsConfig, QpsSolution, build_qps, solve
+from .circuit import Circuit, CostModel, count_resources
+from .identities import MAX_IDENTITY_N
+from .poisson import PRESETS, preset_rhs
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -182,87 +162,10 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def verification_checks(n_max: int = 4, seed: int = 0, trials: int = 10,
-                        fault: bool = False) -> list[tuple[str, bool, str]]:
-    """The invariant suites behind `qps verify`; returns (name, ok, detail) rows."""
-    rng = np.random.default_rng(seed)
-    checks: list[tuple[str, bool, str]] = []
-
-    worst = max(sine_formula_residual(n) for n in range(1, min(n_max, 12) + 1))
-    checks.append(("sine-formula residual", worst <= 1e-9, f"max {worst:.2e}"))
-    worst = max(odd_layer_residual(n) for n in range(1, min(n_max, 12) + 1))
-    checks.append(("odd-layer residual", worst <= 1e-9, f"max {worst:.2e}"))
-    worst = max(inversion_identity_error(n) for n in range(2, min(n_max, 12) + 1))
-    checks.append(("inversion identity", worst <= 1e-12, f"max rel {worst:.2e}"))
-
-    worst = 0.0
-    for n in range(2, min(n_max, 6) + 1):
-        audit = build_inversion_serial(n)
-        if fault:
-            gates = list(audit.gates)
-            for pos, g in enumerate(gates):
-                if g.kind == "ry":
-                    gates[pos] = Gate.ry(g.angle + 0.1, g.targets, g.controls)
-                    break
-            audit = Circuit(audit.registers, gates)
-        breg = audit.register("B")
-        ones = (2 ** (2 * n - 2) - 1) << n
-        for j in range(1, 2**n):
-            amps = np.zeros(2**n)
-            amps[j] = 1.0
-            st = inject_register(StateVector.ground(audit.num_qubits), breg, amps)
-            out = apply(st, audit)
-            got = out.amplitudes[j + ones].real
-            worst = max(worst, abs(got - 8.0 / eigenvalue(n, j)))
-    checks.append(("amplitude audit", worst <= 1e-12, f"max abs {worst:.2e}"))
-
-    worst_fid = 1.0
-    worst_prob = 0.0
-    for n in range(2, min(n_max, 6) + 1):
-        for _ in range(trials):
-            b = rng.standard_normal(2**n - 1)
-            sol = solve(QpsConfig(n=n), b)
-            worst_fid = min(worst_fid, sol.fidelity)
-            b_hat = b / np.linalg.norm(b)
-            v = solve_classical(TridiagonalSystem(N=2**n), b_hat)
-            worst_prob = max(
-                worst_prob, abs(sol.success_probability - 64.0 * float(v @ v))
-            )
-    checks.append(("end-to-end fidelity", worst_fid >= 1 - 1e-10,
-                   f"min {worst_fid:.12f}"))
-    checks.append(("success-probability identity", worst_prob <= 1e-10,
-                   f"max abs {worst_prob:.2e}"))
-
-    worst_eq = 1.0
-    for n in range(3, min(n_max, 5) + 1):
-        for _ in range(max(trials // 2, 3)):
-            b = rng.standard_normal(2**n - 1)
-            base = solve(QpsConfig(n=n), b)
-            for mode, ry in ((PARALLEL, "bitwise"), ("serial", "semantic")):
-                other = solve(QpsConfig(n=n, mode=mode, ry_construction=ry), b)
-                worst_eq = min(worst_eq, fidelity(base.solution, other.solution))
-    checks.append(("construction equivalence", worst_eq >= 1 - 1e-10,
-                   f"min fidelity {worst_eq:.12f}"))
-
-    worst_sp = 0.0
-    for n in range(2, min(n_max, 6) + 1):
-        b = rng.standard_normal(2**n - 1)
-        direct = solve_classical(TridiagonalSystem(N=2**n), b)
-        spectral = spectral_solve(n, b)
-        worst_sp = max(
-            worst_sp,
-            float(np.linalg.norm(direct - spectral) / np.linalg.norm(direct)),
-        )
-    checks.append(("classical solver cross-check", worst_sp <= 1e-10,
-                   f"max rel {worst_sp:.2e}"))
-    return checks
-
-
 def cmd_verify(args) -> int:
     if not 2 <= args.n_max <= 6:
         raise ConfigError(f"--n-max must be in [2, 6], got {args.n_max}")
-    checks = verification_checks(n_max=args.n_max, seed=args.seed,
-                                 fault=args.inject_fault)
+    checks = verify.checks(args.n_max, args.seed, args.inject_fault)
     width = max(len(name) for name, _, _ in checks)
     all_ok = True
     for name, ok, detail in checks:
@@ -275,15 +178,7 @@ def cmd_verify(args) -> int:
 def cmd_identities(args) -> int:
     if not 1 <= args.n_max <= MAX_IDENTITY_N:
         raise ConfigError(f"--n-max must be in [1, {MAX_IDENTITY_N}], got {args.n_max}")
-    rows = []
-    for n in range(1, args.n_max + 1):
-        inv = inversion_identity_error(n) if 2 <= n <= 12 else None
-        rows.append({
-            "n": n,
-            "sine_formula_residual": sine_formula_residual(n),
-            "odd_layer_residual": odd_layer_residual(n),
-            "inversion_max_rel_error": inv,
-        })
+    rows = verify.identity_rows(args.n_max)
     if args.output == "json":
         print(json.dumps(rows, indent=2))
     else:
@@ -302,8 +197,10 @@ def cmd_report(args) -> int:
     config = QpsConfig(n=args.n, mode=args.mode, ry_construction=args.ry,
                        cost_model=_cost_model())
     cm = config.cost_model
-    full = count_resources(build_qps(config, materialize_bc=False), cm)
-    inv = count_resources(inversion_stage_circuit(config), cm)
+    circuit = build_qps(config, materialize_bc=False)
+    full = count_resources(circuit, cm)
+    # build_qps orders its gates BC, inversion, flag, BC-dagger
+    inv = count_resources(Circuit(circuit.registers, circuit.gates[1:-2]), cm)
     n = args.n
     record = {
         "n": n,

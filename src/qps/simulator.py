@@ -150,19 +150,13 @@ def inject_register(state: StateVector, register: QubitRegister, amplitudes) -> 
         raise ValueError("cannot inject the zero vector")
     target = target / norm
 
-    q = state.num_qubits
-    tensor = state.tensor()
-    # register axes, most significant first, moved to the front
-    axes = [_axis(q, t) for t in reversed(register.qubits)]
-    moved = np.moveaxis(tensor, axes, range(register.width)).copy()
-    flat = moved.reshape(2**register.width, -1)
-    if np.linalg.norm(flat[1:]) > NORM_TOL:
+    # a register is a contiguous qubit range, so the middle axis of this
+    # view is indexed by the register's value
+    view = state.amplitudes.reshape(-1, 2**register.width, 2**register.offset)
+    if np.linalg.norm(view[:, 1:, :]) > NORM_TOL:
         raise ValueError(f"register {register.name!r} is not in its ground state")
-    new_flat = np.outer(target, flat[0])
-    new = np.moveaxis(
-        new_flat.reshape(moved.shape), range(register.width), axes
-    ).reshape(-1)
-    return StateVector(q, new)
+    new = view[:, :1, :] * target[:, None]
+    return StateVector(state.num_qubits, new.reshape(-1))
 
 
 def postselect(state: StateVector, qubits, outcome, floor: float = POSTSELECT_FLOOR) -> PostselectResult:

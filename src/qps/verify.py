@@ -1,0 +1,117 @@
+"""The paper's invariant suites, one implementation each, for `qps verify`,
+`qps identities` and the acceptance tests.  Each suite returns its worst
+case and the callers own the thresholds.  The solver is reached through
+module attributes (`builder.solve`), so a patched attribute sees every call.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from . import builder, identities, poisson, simulator
+from .circuit import Circuit, Gate
+
+TRIALS = 10
+
+
+def identity_rows(n_max: int) -> list[dict]:
+    """The sine-identity residuals for n = 1..n_max; inversion error only for 2..12."""
+    rows = []
+    for n in range(1, n_max + 1):
+        inv = identities.inversion_identity_error(n) if 2 <= n <= 12 else None
+        rows.append({
+            "n": n,
+            "sine_formula_residual": identities.sine_formula_residual(n),
+            "odd_layer_residual": identities.odd_layer_residual(n),
+            "inversion_max_rel_error": inv,
+        })
+    return rows
+
+
+def amplitude_audit(ns, fault: bool = False) -> float:
+    """Max |amplitude - 8/lambda_j| of E = |1...1> over every basis input |j> of B.
+
+    fault perturbs the first rotation angle, to show that the audit bites.
+    """
+    worst = 0.0
+    for n in ns:
+        circ = builder.build_inversion_serial(n)
+        if fault:
+            gates = list(circ.gates)
+            pos = next(i for i, g in enumerate(gates) if g.kind == "ry")
+            gates[pos] = Gate.ry(gates[pos].angle + 0.1, gates[pos].targets,
+                                 gates[pos].controls)
+            circ = Circuit(circ.registers, gates)
+        breg = circ.register("B")
+        ones = (2 ** (2 * n - 2) - 1) << n
+        for j in range(1, 2**n):
+            amps = np.zeros(2**n)
+            amps[j] = 1.0
+            state = simulator.inject_register(
+                simulator.StateVector.ground(circ.num_qubits), breg, amps)
+            out = simulator.apply(state, circ)
+            got = out.amplitudes[j + ones].real
+            worst = max(worst, abs(got - 8.0 / poisson.eigenvalue(n, j)))
+    return worst
+
+
+def solve_sweep(ns, trials: int, rng) -> tuple[float, float]:
+    """(min fidelity, max |P_success - 64 |A^-1 b_hat|^2|) over random b."""
+    worst_fid = 1.0
+    worst_prob = 0.0
+    for n in ns:
+        for _ in range(trials):
+            b = rng.standard_normal(2**n - 1)
+            sol = builder.solve(builder.QpsConfig(n=n), b)
+            worst_fid = min(worst_fid, sol.fidelity)
+            b_hat = b / np.linalg.norm(b)
+            v = poisson.solve_classical(poisson.TridiagonalSystem(N=2**n), b_hat)
+            worst_prob = max(
+                worst_prob, abs(sol.success_probability - 64.0 * float(v @ v))
+            )
+    return worst_fid, worst_prob
+
+
+def construction_equivalence(ns, trials: int, rng) -> float:
+    """Min fidelity of parallel-bitwise and serial-semantic against serial-bitwise."""
+    worst = 1.0
+    for n in ns:
+        for _ in range(trials):
+            b = rng.standard_normal(2**n - 1)
+            base = builder.solve(builder.QpsConfig(n=n), b)
+            for mode, ry in ((builder.PARALLEL, "bitwise"), ("serial", "semantic")):
+                other = builder.solve(
+                    builder.QpsConfig(n=n, mode=mode, ry_construction=ry), b)
+                worst = min(worst, simulator.fidelity(base.solution, other.solution))
+    return worst
+
+
+def checks(n_max: int, seed: int, fault: bool) -> list[tuple[str, bool, str]]:
+    """The suites behind `qps verify` at n <= n_max (2..6); (name, ok, detail) rows."""
+    rng = np.random.default_rng(seed)
+    rows = identity_rows(n_max)
+    eq5 = max(row["sine_formula_residual"] for row in rows)
+    layers = max(row["odd_layer_residual"] for row in rows)
+    inv = max(row["inversion_max_rel_error"] for row in rows[1:])
+    audit = amplitude_audit(range(2, n_max + 1), fault)
+    fid, prob = solve_sweep(range(2, n_max + 1), TRIALS, rng)
+    equiv = construction_equivalence(range(3, min(n_max, 5) + 1), TRIALS // 2, rng)
+
+    worst_sp = 0.0
+    for n in range(2, n_max + 1):
+        b = rng.standard_normal(2**n - 1)
+        direct = poisson.solve_classical(poisson.TridiagonalSystem(N=2**n), b)
+        spectral = poisson.spectral_solve(n, b)
+        rel = float(np.linalg.norm(direct - spectral) / np.linalg.norm(direct))
+        worst_sp = max(worst_sp, rel)
+    return [
+        ("sine-formula residual", eq5 <= 1e-9, f"max {eq5:.2e}"),
+        ("odd-layer residual", layers <= 1e-9, f"max {layers:.2e}"),
+        ("inversion identity", inv <= 1e-12, f"max rel {inv:.2e}"),
+        ("amplitude audit", audit <= 1e-12, f"max abs {audit:.2e}"),
+        ("end-to-end fidelity", fid >= 1 - 1e-10, f"min {fid:.12f}"),
+        ("success-probability identity", prob <= 1e-10, f"max abs {prob:.2e}"),
+        ("construction equivalence", equiv >= 1 - 1e-10,
+         f"min fidelity {equiv:.12f}"),
+        ("classical solver cross-check", worst_sp <= 1e-10, f"max rel {worst_sp:.2e}"),
+    ]

@@ -11,21 +11,11 @@ import time
 import numpy as np
 import pytest
 
-from qps.builder import (
-    QpsConfig,
-    build_inversion_serial,
-    build_qps,
-    inversion_stage_circuit,
-    solve,
-)
+from qps import verify
+from qps.builder import QpsConfig, build_qps, inversion_stage_circuit, solve
 from qps.circuit import count_resources
-from qps.identities import (
-    inversion_identity_error,
-    odd_layer_residual,
-    sine_formula_residual,
-)
-from qps.poisson import TridiagonalSystem, eigenvalue, solve_classical, truncation_study
-from qps.simulator import StateVector, apply, fidelity, inject_register, postselect
+from qps.poisson import truncation_study
+from qps.simulator import StateVector, apply, inject_register, postselect
 
 
 def _verdict(name, ok, detail):
@@ -48,9 +38,10 @@ def test_criterion_1_demo_reproduction():
 
 def test_criterion_2_sine_formula_suite():
     start = time.perf_counter()
-    worst_eq5 = max(sine_formula_residual(n) for n in range(1, 13))
-    worst_layers = max(odd_layer_residual(n) for n in range(1, 13))
-    worst_inv = max(inversion_identity_error(n) for n in range(2, 13))
+    rows = verify.identity_rows(12)
+    worst_eq5 = max(row["sine_formula_residual"] for row in rows)
+    worst_layers = max(row["odd_layer_residual"] for row in rows)
+    worst_inv = max(row["inversion_max_rel_error"] for row in rows[1:])
     elapsed = time.perf_counter() - start
     ok = _verdict(
         "2 sine-formula-suite",
@@ -64,17 +55,7 @@ def test_criterion_2_sine_formula_suite():
 
 def test_criterion_3_amplitude_audit():
     start = time.perf_counter()
-    worst = 0.0
-    for n in range(2, 7):
-        circ = build_inversion_serial(n)
-        breg = circ.register("B")
-        ones = (2 ** (2 * n - 2) - 1) << n
-        for j in range(1, 2**n):
-            amps = np.zeros(2**n, dtype=complex)
-            amps[j] = 1.0
-            state = inject_register(StateVector.ground(circ.num_qubits), breg, amps)
-            out = apply(state, circ)
-            worst = max(worst, abs(out.amplitudes[j + ones].real - 8 / eigenvalue(n, j)))
+    worst = verify.amplitude_audit(range(2, 7))
     elapsed = time.perf_counter() - start
     ok = _verdict(
         "3 amplitude-audit",
@@ -85,19 +66,7 @@ def test_criterion_3_amplitude_audit():
 
 
 def test_criterion_4_end_to_end_fidelity():
-    rng = np.random.default_rng(2024)
-    worst_fid = 1.0
-    worst_prob = 0.0
-    for n in range(2, 7):
-        system = TridiagonalSystem(N=2**n)
-        for _ in range(50):
-            b = rng.standard_normal(2**n - 1)
-            sol = solve(QpsConfig(n=n), b)
-            worst_fid = min(worst_fid, sol.fidelity)
-            b_hat = b / np.linalg.norm(b)
-            v = solve_classical(system, b_hat)
-            worst_prob = max(worst_prob,
-                             abs(sol.success_probability - 64 * float(v @ v)))
+    worst_fid, worst_prob = verify.solve_sweep(range(2, 7), 50, np.random.default_rng(2024))
     ok = _verdict(
         "4 end-to-end-fidelity",
         worst_fid >= 1 - 1e-10 and worst_prob <= 1e-10,
@@ -111,19 +80,9 @@ def test_criterion_5_construction_equivalence():
     worst_fid = 1.0
     worst_leak = 0.0
     for n in (3, 4, 5):
-        parallel_cfg = QpsConfig(n=n, mode="parallel")
-        for _ in range(5):
-            b = rng.standard_normal(2**n - 1)
-            serial = solve(QpsConfig(n=n), b)
-            parallel = solve(parallel_cfg, b)
-            semantic = solve(QpsConfig(n=n, ry_construction="semantic"), b)
-            worst_fid = min(
-                worst_fid,
-                fidelity(serial.solution, parallel.solution),
-                fidelity(serial.solution, semantic.solution),
-            )
+        worst_fid = min(worst_fid, verify.construction_equivalence([n], 5, rng))
         # register C must come back to the ground state
-        circ = build_qps(parallel_cfg)
+        circ = build_qps(QpsConfig(n=n, mode="parallel"))
         amps = np.zeros(2**n, dtype=complex)
         amps[1:] = rng.standard_normal(2**n - 1)
         state = inject_register(

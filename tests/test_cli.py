@@ -1,8 +1,12 @@
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
+from qps import builder
+from qps.circuit import Circuit
 from qps.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VERIFY, main
 
 
@@ -108,6 +112,59 @@ def test_verify_default_passes(capsys):
 
 def test_verify_fault_injection_detected(capsys):
     code, out, _ = run(capsys, "verify", "--n-max", "3", "--inject-fault")
+    assert code == EXIT_VERIFY
+    assert "FAIL" in out
+
+
+def _edit_gates(monkeypatch, name, edit):
+    """Patch qps.builder.<name> to return its circuit with edit applied to the gate list."""
+    original = getattr(builder, name)
+
+    def faulty(*args, **kwargs):
+        circuit = original(*args, **kwargs)
+        return Circuit(circuit.registers, edit(list(circuit.gates)))
+
+    monkeypatch.setattr(builder, name, faulty)
+
+
+def _first(gates, predicate):
+    return next(i for i, g in enumerate(gates) if predicate(g))
+
+
+def _drop_first_ry(gates):
+    del gates[_first(gates, lambda g: g.kind == "ry")]
+    return gates
+
+
+def _flip_first_control(gates):
+    i = _first(gates, lambda g: g.controls)
+    (qubit, positive), *rest = gates[i].controls
+    gates[i] = dataclasses.replace(gates[i], controls=((qubit, not positive), *rest))
+    return gates
+
+
+def _rotate_bc_rows(monkeypatch):
+    """Mix BC rows 1 and 2 by a small Givens rotation; the block stays unitary."""
+    original = builder.bc_matrix
+    c, s = math.cos(0.01), math.sin(0.01)
+
+    def faulty(n):
+        matrix = original(n)
+        matrix[[1, 2]] = np.array([[c, -s], [s, c]]) @ matrix[[1, 2]]
+        return matrix
+
+    monkeypatch.setattr(builder, "bc_matrix", faulty)
+
+
+@pytest.mark.parametrize("fault", [
+    lambda mp: _edit_gates(mp, "build_inversion_serial", _drop_first_ry),
+    lambda mp: _edit_gates(mp, "build_inversion_serial", _flip_first_control),
+    lambda mp: _edit_gates(mp, "build_qps", lambda gates: gates[:-1]),
+    _rotate_bc_rows,
+], ids=["drop-first-ry", "flip-control", "drop-bc-dagger", "rotate-bc-rows"])
+def test_verify_fault_matrix(capsys, monkeypatch, fault):
+    fault(monkeypatch)
+    code, out, _ = run(capsys, "verify", "--n-max", "3")
     assert code == EXIT_VERIFY
     assert "FAIL" in out
 
