@@ -21,8 +21,6 @@ from .circuit import (
     count_resources,
 )
 from .identities import (
-    AngleSequence,
-    OddFactorization,
     inversion_angles,
     inversion_value,
     odd_factor,
@@ -30,7 +28,6 @@ from .identities import (
     sine_formula_residual,
 )
 from .poisson import (
-    EigenPair,
     TridiagonalSystem,
     eigenpair,
     eigenvalue,

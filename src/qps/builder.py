@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import identities
 from .circuit import (
     Circuit,
     CostModel,
@@ -155,12 +156,11 @@ def _emit_slot_semantic(gates, layout, n, m, s, source):
     k = n - s
     width = _term_width(n, m, k)
     for pattern in range(2**width):
-        i_low = 1 + 2 * pattern
-        theta = abs(2**k - i_low % 2 ** (k + 1)) / 2 ** (k + 1) * math.pi
         locals_ = tuple(
             (b.qubit(m + 1 + r), bool((pattern >> r) & 1)) for r in range(width)
         )
-        gates.append(Gate.ry(2.0 * theta, pair, source + locals_))
+        gates.append(Gate.ry(2.0 * identities.sine_angle(k, 1 + 2 * pattern), pair,
+                             source + locals_))
 
 
 def _bitwise_unit_count(n: int, m: int) -> int:
@@ -288,13 +288,10 @@ def solve(config: QpsConfig, b) -> QpsSolution:
     state = apply(state, circuit)
 
     result = postselect(state, [anc.qubit(0)], [1])
-    fixed = {
-        circuit.register("E"): 2 ** (2 * config.n - 2) - 1,
-        anc: 1,
-        circuit.register("BCaux"): 0,
-    }
-    if config.mode == PARALLEL:
-        fixed[circuit.register("C")] = 0
+    e_reg = circuit.register("E")
+    fixed = {r: 0 for r in circuit.registers if r != b_reg}
+    fixed[e_reg] = 2**e_reg.width - 1
+    fixed[anc] = 1
     vec = extract_register(result.state, b_reg, fixed)
 
     if abs(vec[0]) > 1e-10 or np.max(np.abs(vec.imag)) > 1e-10:

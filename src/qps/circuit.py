@@ -25,7 +25,8 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+import sys
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -234,17 +235,15 @@ class CostModel:
         raise ValueError(f"unknown gate kind {gate.kind!r}")
 
     @classmethod
-    def from_dict(cls, data: dict) -> "CostModel":
-        kwargs = {}
-        if "ry_base" in data:
-            kwargs["ry_base"] = tuple(int(v) for v in data["ry_base"])
-        if "x_base" in data:
-            kwargs["x_base"] = tuple(int(v) for v in data["x_base"])
-        if "linear_coefficient" in data:
-            kwargs["linear_coefficient"] = int(data["linear_coefficient"])
-        if "block_coefficient" in data:
-            kwargs["block_coefficient"] = float(data["block_coefficient"])
-        return cls(**kwargs)
+    def from_dict(cls, data) -> "CostModel":
+        """A model from a JSON object whose keys are fields of this class."""
+        if not isinstance(data, dict):
+            raise ValueError(f"cost model must be a JSON object, got {type(data).__name__}")
+        defaults = {f.name: f.default for f in fields(cls)}
+        unknown = sorted(set(data) - set(defaults))
+        if unknown:
+            raise ValueError(f"unknown cost model keys {unknown}; known: {sorted(defaults)}")
+        return cls(**{k: _cost_value(k, v, defaults[k]) for k, v in data.items()})
 
     @classmethod
     def from_env(cls, env_var: str = "QPS_COST_MODEL") -> "CostModel":
@@ -253,6 +252,22 @@ class CostModel:
             return cls()
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
+
+
+def _cost_value(key: str, value, default):
+    """value in the shape of the field's default: a list of counts, a count
+    or a number; each within the float range (so finite) and a count integral."""
+    if isinstance(default, tuple):
+        if not isinstance(value, list):
+            raise ValueError(f"cost model {key} must be a list, got {value!r}")
+        return tuple(_cost_value(key, v, default[0]) for v in value)
+    integral = isinstance(default, int)
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max
+            or (integral and value != int(value))):
+        want = "integer" if integral else "number"
+        raise ValueError(f"cost model {key} needs a finite {want}, got {value!r}")
+    return int(value) if integral else float(value)
 
 
 DEFAULT_COST_MODEL = CostModel()
@@ -264,14 +279,6 @@ class ResourceReport:
     elementary_gates: int
     depth_serial: int
     depth_native: int
-
-    def to_dict(self) -> dict:
-        return {
-            "qubits": self.qubits,
-            "elementary_gates": self.elementary_gates,
-            "depth_serial": self.depth_serial,
-            "depth_native": self.depth_native,
-        }
 
 
 def count_resources(circuit: Circuit, cost_model: CostModel | None = None) -> ResourceReport:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -29,10 +30,6 @@ DEMO_EXPECTED = (0.552987, 0.674065, 0.489736)
 SIM_BOUNDS = {"serial": (2, 6), "parallel": (3, 5)}
 
 
-class ConfigError(Exception):
-    pass
-
-
 class InputError(Exception):
     pass
 
@@ -51,17 +48,17 @@ def _cost_model() -> CostModel:
 def _check_sim_bounds(n: int, mode: str):
     lo, hi = SIM_BOUNDS[mode]
     if not lo <= n <= hi:
-        raise ConfigError(f"{mode} simulation supports n in [{lo}, {hi}], got {n}")
+        raise ValueError(f"{mode} simulation supports n in [{lo}, {hi}], got {n}")
 
 
 def _load_b(args, n: int) -> np.ndarray:
     size = 2**n - 1
     sources = [s for s in (args.preset, args.file, args.b) if s is not None]
     if len(sources) > 1:
-        raise ConfigError("choose exactly one of --preset, --file, --b")
+        raise ValueError("choose exactly one of --preset, --file, --b")
     if args.preset is not None:
         if args.preset not in PRESETS:
-            raise ConfigError(
+            raise ValueError(
                 f"unknown preset {args.preset!r}; choose from {sorted(PRESETS)}"
             )
         return preset_rhs(args.preset, n)
@@ -69,7 +66,7 @@ def _load_b(args, n: int) -> np.ndarray:
         try:
             with open(args.file) as fh:
                 lines = [ln.strip() for ln in fh if ln.strip()]
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read b file: {exc}") from exc
         try:
             vec = np.array([float(ln) for ln in lines])
@@ -84,11 +81,11 @@ def _load_b(args, n: int) -> np.ndarray:
         try:
             vec = np.array([float(tok) for tok in args.b.split(",")])
         except ValueError as exc:
-            raise ConfigError(f"bad --b list: {exc}") from exc
+            raise ValueError(f"bad --b list: {exc}") from exc
         if len(vec) != size:
-            raise ConfigError(f"--b needs {size} comma-separated values, got {len(vec)}")
+            raise ValueError(f"--b needs {size} comma-separated values, got {len(vec)}")
         return vec
-    raise ConfigError("no right-hand side given: use --preset, --file, or --b")
+    raise ValueError("no right-hand side given: use --preset, --file, or --b")
 
 
 def _solution_record(config: QpsConfig, sol: QpsSolution, b: np.ndarray) -> dict:
@@ -104,7 +101,7 @@ def _solution_record(config: QpsConfig, sol: QpsSolution, b: np.ndarray) -> dict
         "reference": sol.classical_reference.tolist(),
         "fidelity": sol.fidelity,
         "success_probability": sol.success_probability,
-        "resources": sol.resources.to_dict(),
+        "resources": asdict(sol.resources),
     }
 
 
@@ -129,7 +126,7 @@ def _emit_solution(args, config: QpsConfig, sol: QpsSolution, b: np.ndarray):
 
 def cmd_demo(args) -> int:
     if args.mode == PARALLEL:
-        raise ConfigError("the demo runs at n=2; parallel mode needs n >= 3")
+        raise ValueError("the demo runs at n=2; parallel mode needs n >= 3")
     config = QpsConfig(n=2, mode="serial", ry_construction=args.ry,
                        cost_model=_cost_model())
     b = np.array(DEMO_B)
@@ -164,7 +161,7 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     if not 2 <= args.n_max <= 6:
-        raise ConfigError(f"--n-max must be in [2, 6], got {args.n_max}")
+        raise ValueError(f"--n-max must be in [2, 6], got {args.n_max}")
     checks = verify.checks(args.n_max, args.seed, args.inject_fault)
     width = max(len(name) for name, _, _ in checks)
     all_ok = True
@@ -177,7 +174,7 @@ def cmd_verify(args) -> int:
 
 def cmd_identities(args) -> int:
     if not 1 <= args.n_max <= MAX_IDENTITY_N:
-        raise ConfigError(f"--n-max must be in [1, {MAX_IDENTITY_N}], got {args.n_max}")
+        raise ValueError(f"--n-max must be in [1, {MAX_IDENTITY_N}], got {args.n_max}")
     rows = verify.identity_rows(args.n_max)
     if args.output == "json":
         print(json.dumps(rows, indent=2))
@@ -193,7 +190,7 @@ def cmd_identities(args) -> int:
 
 def cmd_report(args) -> int:
     if not 2 <= args.n <= 15:
-        raise ConfigError(f"report supports n in [2, 15], got {args.n}")
+        raise ValueError(f"report supports n in [2, 15], got {args.n}")
     config = QpsConfig(n=args.n, mode=args.mode, ry_construction=args.ry,
                        cost_model=_cost_model())
     cm = config.cost_model
@@ -206,8 +203,8 @@ def cmd_report(args) -> int:
         "n": n,
         "mode": config.mode,
         "ry_construction": config.ry_construction,
-        "circuit": full.to_dict(),
-        "inversion_stage": inv.to_dict(),
+        "circuit": asdict(full),
+        "inversion_stage": asdict(inv),
         "paper": {
             "qubits_3n": 3 * n,
             "qubits_3n_plus_1": 3 * n + 1,
@@ -278,9 +275,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -15,7 +15,6 @@ Identity checks run in log-domain so n up to 14 stays stable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .poisson import eigenvalue
 
@@ -23,59 +22,38 @@ LN2 = math.log(2.0)
 MAX_IDENTITY_N = 14
 
 
-@dataclass(frozen=True)
-class OddFactorization:
-    """j = 2**m * i with i odd and m maximal (the trailing-zero count)."""
-
-    j: int
-    m: int
-    i: int
-
-
-@dataclass(frozen=True)
-class AngleSequence:
-    """The n-1 rotation angles whose sine product squares to 8/lambda_j.
-
-    angles[s] for s < m is the constant pi/6; angles[s] for s >= m carries
-    k = n - s (so the list runs k = n-m down to 2 after the constants).
-    """
-
-    n: int
-    j: int
-    m: int
-    angles: tuple[float, ...]
-
-
-def odd_factor(j: int) -> OddFactorization:
+def odd_factor(j: int) -> tuple[int, int]:
+    """(m, i) with j = 2**m * i, i odd and m maximal (the trailing-zero count)."""
     if j < 1:
         raise ValueError(f"index must be positive, got {j}")
     m = (j & -j).bit_length() - 1
-    return OddFactorization(j=j, m=m, i=j >> m)
+    return m, j >> m
 
 
-def _sine_arg(k: int, i: int) -> float:
-    """|2**k - (i mod 2**(k+1))| / 2**(k+1) as a plain float in (0, 1/2]."""
+def sine_angle(k: int, i: int) -> float:
+    """|2**k - (i mod 2**(k+1))| / 2**(k+1) * pi, the slot angle in (0, pi/2]."""
     t = i % (1 << (k + 1))
-    return abs((1 << k) - t) / (1 << (k + 1))
+    return abs((1 << k) - t) / (1 << (k + 1)) * math.pi
 
 
-def inversion_angles(n: int, j: int) -> AngleSequence:
+def inversion_angles(n: int, j: int) -> tuple[float, ...]:
+    """The n-1 angles whose sine product squares to 8/lambda_j.
+
+    The first m are the constant pi/6; the rest carry k = n-m down to 2.
+    """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     if not 1 <= j <= 2**n - 1:
         raise ValueError(f"j must be in [1, {2**n - 1}], got {j}")
-    fac = odd_factor(j)
-    angles = [math.pi / 6.0] * fac.m
-    # empty for j = 2**(n-1), where m = n-1 and all entries are constants
-    for k in range(n - fac.m, 1, -1):
-        angles.append(_sine_arg(k, fac.i) * math.pi)
-    return AngleSequence(n=n, j=j, m=fac.m, angles=tuple(angles))
+    m, i = odd_factor(j)
+    # the range is empty for j = 2**(n-1), where m = n-1
+    return (math.pi / 6.0,) * m + tuple(sine_angle(k, i) for k in range(n - m, 1, -1))
 
 
-def inversion_value(seq: AngleSequence) -> float:
-    """(prod sin(angles))**2; equals 8/lambda_j for a valid sequence."""
+def inversion_value(angles: tuple[float, ...]) -> float:
+    """(prod sin(angles))**2; equals 8/lambda_j for inversion_angles(n, j)."""
     p = 1.0
-    for a in seq.angles:
+    for a in angles:
         p *= math.sin(a)
     return p * p
 

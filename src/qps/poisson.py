@@ -48,13 +48,6 @@ class TridiagonalSystem:
         return 2 * s * np.eye(k) - s * np.eye(k, k=1) - s * np.eye(k, k=-1)
 
 
-@dataclass(frozen=True)
-class EigenPair:
-    j: int
-    lam: float
-    u: np.ndarray
-
-
 def eigenvalue(n: int, j: int) -> float:
     """lambda_j = 4 N^2 sin^2(j pi / 2N) for the N-1 dimensional system."""
     N = 2**n
@@ -63,12 +56,11 @@ def eigenvalue(n: int, j: int) -> float:
     return 4.0 * N * N * math.sin(j * math.pi / (2 * N)) ** 2
 
 
-def eigenpair(n: int, j: int) -> EigenPair:
+def eigenpair(n: int, j: int) -> tuple[float, np.ndarray]:
+    """(lambda_j, u_j) with u_j(k) = sqrt(2/N) sin(jk pi / N), k = 1..N-1."""
     N = 2**n
-    lam = eigenvalue(n, j)
     k = np.arange(1, N)
-    u = math.sqrt(2.0 / N) * np.sin(j * k * np.pi / N)
-    return EigenPair(j=j, lam=lam, u=u)
+    return eigenvalue(n, j), math.sqrt(2.0 / N) * np.sin(j * k * np.pi / N)
 
 
 def dst_matrix(N: int) -> np.ndarray:

@@ -43,7 +43,8 @@ def amplitude_audit(ns, fault: bool = False) -> float:
                                  gates[pos].controls)
             circ = Circuit(circ.registers, gates)
         breg = circ.register("B")
-        ones = (2 ** (2 * n - 2) - 1) << n
+        e = circ.register("E")
+        ones = (2**e.width - 1) << e.offset
         for j in range(1, 2**n):
             amps = np.zeros(2**n)
             amps[j] = 1.0

@@ -13,6 +13,7 @@ from qps.builder import (
     standard_registers,
 )
 from qps.circuit import Circuit, count_resources
+from qps.identities import inversion_angles
 from qps.poisson import TridiagonalSystem, eigenpair, eigenvalue, solve_classical
 from qps.simulator import (
     StateVector,
@@ -53,9 +54,8 @@ def test_bc_rows_are_eigenvectors():
     n = 3
     U = bc_matrix(n)
     for j in range(1, 8):
-        pair = eigenpair(n, j)
         embedded = np.zeros(8)
-        embedded[1:] = pair.u
+        embedded[1:] = eigenpair(n, j)[1]
         out = U @ embedded
         expected = np.zeros(8)
         expected[j] = 1.0
@@ -176,11 +176,28 @@ def test_demo_reproduction():
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_eigencomponent_isolation(n):
     for j in range(1, 2**n):
-        sol = solve(QpsConfig(n=n), eigenpair(n, j).u)
-        assert fidelity(sol.solution, eigenpair(n, j).u) >= 1 - 1e-10
+        u = eigenpair(n, j)[1]
+        sol = solve(QpsConfig(n=n), u)
+        assert fidelity(sol.solution, u) >= 1 - 1e-10
         assert sol.success_probability == pytest.approx(
             (8 / eigenvalue(n, j)) ** 2, abs=1e-10
         )
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_semantic_angles_realize_inversion_identity(n):
+    # the RY pairs that fire on B = |j>, halved and in gate order, are
+    # exactly the angles of the reduced inversion identity
+    circ = build_inversion_serial(n, "semantic")
+    b = circ.register("B")
+    rys = [g for g in circ if g.kind == "ry"]
+    assert all(q in b.qubits for g in rys for q, _ in g.controls)
+    for j in range(1, 2**n):
+        fired = tuple(
+            g.angle / 2 for g in rys
+            if all(((j >> (q - b.offset)) & 1) == pol for q, pol in g.controls)
+        )
+        assert fired == inversion_angles(n, j)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -69,6 +69,14 @@ def test_solve_wrong_length_file(tmp_path, capsys):
     assert "exactly 3 values" in err
 
 
+def test_solve_undecodable_file(tmp_path, capsys):
+    path = tmp_path / "b.csv"
+    path.write_bytes(b"\xff\xfe1\n2\n3\n")
+    code, _, err = run(capsys, "solve", "--n", "2", "--file", str(path))
+    assert code == EXIT_IO
+    assert "cannot read b file" in err
+
+
 def test_solve_csv_file_and_output(tmp_path, capsys):
     path = tmp_path / "b.csv"
     path.write_text("0.7071067811865476\n0.5\n0.5\n")
@@ -247,6 +255,10 @@ def test_solve_extreme_rhs(capsys, b, code):
     {"linear_coefficient": -1},
     {"block_coefficient": -0.5},
     {"block_coefficient": float("nan")},
+    {"linear_coefficient": 1e400},  # parsed as inf
+    [1, 2],
+    {"ry_bas": [9]},
+    {"ry_base": [1.9, 2, 8]},
 ])
 def test_invalid_cost_model_rejected(tmp_path, capsys, monkeypatch, model):
     path = tmp_path / "model.json"

@@ -16,9 +16,9 @@ from qps.poisson import eigenvalue
 
 def test_odd_factor_examples():
     assert odd_factor(1) == odd_factor(1)
-    assert (odd_factor(1).m, odd_factor(1).i) == (0, 1)
-    assert (odd_factor(12).m, odd_factor(12).i) == (2, 3)
-    assert (odd_factor(64).m, odd_factor(64).i) == (6, 1)
+    assert odd_factor(1) == (0, 1)
+    assert odd_factor(12) == (2, 3)
+    assert odd_factor(64) == (6, 1)
 
 
 def test_odd_factor_rejects_nonpositive():
@@ -31,15 +31,15 @@ def test_odd_factor_rejects_nonpositive():
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=1, max_value=10**9))
 def test_odd_factor_is_maximal(j):
-    fac = odd_factor(j)
-    assert fac.i % 2 == 1
-    assert (1 << fac.m) * fac.i == j
+    m, i = odd_factor(j)
+    assert i % 2 == 1
+    assert (1 << m) * i == j
 
 
 def test_angles_n2_j1():
     seq = inversion_angles(2, 1)
-    assert seq.m == 0
-    assert seq.angles == (3 * math.pi / 8,)
+    assert odd_factor(1)[0] == 0
+    assert seq == (3 * math.pi / 8,)
     # sin^2(3pi/8) against the closed-form eigenvalue oracle
     assert inversion_value(seq) == pytest.approx(0.8535533905932737, rel=1e-12)
     assert inversion_value(seq) == pytest.approx(8 / eigenvalue(2, 1), rel=1e-12)
@@ -47,16 +47,16 @@ def test_angles_n2_j1():
 
 def test_angles_n3_j2():
     seq = inversion_angles(3, 2)
-    assert seq.m == 1
-    assert seq.angles == (math.pi / 6, 3 * math.pi / 8)
+    assert odd_factor(2)[0] == 1
+    assert seq == (math.pi / 6, 3 * math.pi / 8)
     assert inversion_value(seq) == pytest.approx(0.21338834764831843, rel=1e-12)
     assert inversion_value(seq) == pytest.approx(8 / eigenvalue(3, 2), rel=1e-12)
 
 
 def test_angles_n3_j4_all_constant():
     seq = inversion_angles(3, 4)
-    assert seq.m == 2
-    assert seq.angles == (math.pi / 6, math.pi / 6)
+    assert odd_factor(4)[0] == 2
+    assert seq == (math.pi / 6, math.pi / 6)
     assert inversion_value(seq) == pytest.approx(1 / 16, rel=1e-14)
 
 
@@ -69,8 +69,8 @@ def test_angles_n2_j3():
 @pytest.mark.parametrize("n", range(2, 10))
 def test_all_constant_sequence_value(n):
     seq = inversion_angles(n, 2 ** (n - 1))
-    assert seq.m == n - 1
-    assert all(a == math.pi / 6 for a in seq.angles)
+    assert odd_factor(2 ** (n - 1))[0] == n - 1
+    assert all(a == math.pi / 6 for a in seq)
     assert inversion_value(seq) == pytest.approx(4.0 ** -(n - 1), rel=1e-13)
 
 
@@ -87,7 +87,7 @@ def test_angles_rejects_out_of_range():
 def test_inversion_identity_exhaustive(n):
     for j in range(1, 2**n):
         seq = inversion_angles(n, j)
-        assert len(seq.angles) == n - 1
+        assert len(seq) == n - 1
         target = 8.0 / eigenvalue(n, j)
         assert abs(inversion_value(seq) - target) <= 1e-12 * target
 
@@ -97,7 +97,7 @@ def test_angle_range_and_probability_bound(n):
     values = {}
     for j in range(1, 2**n):
         seq = inversion_angles(n, j)
-        for a in seq.angles:
+        for a in seq:
             assert 0.0 < a <= math.pi / 2
         values[j] = inversion_value(seq)
     assert max(values.values()) < 1.0

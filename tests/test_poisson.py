@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qps.poisson import (
-    EigenPair,
     TridiagonalSystem,
     dst_matrix,
     eigenpair,
@@ -59,13 +58,13 @@ def test_closed_form_matches_dense_eigendecomposition(n):
 @pytest.mark.parametrize("n", range(2, 9))
 def test_eigenpairs_satisfy_definition_and_orthonormality(n):
     A = TridiagonalSystem(N=2**n).matrix()
-    U = np.array([eigenpair(n, j).u for j in range(1, 2**n)])
+    U = np.array([eigenpair(n, j)[1] for j in range(1, 2**n)])
     for j in range(1, 2**n):
-        pair = eigenpair(n, j)
-        assert isinstance(pair, EigenPair)
-        assert np.linalg.norm(pair.u) == pytest.approx(1.0, abs=1e-12)
-        residual = np.linalg.norm(A @ pair.u - pair.lam * pair.u)
-        assert residual <= 1e-10 * pair.lam
+        lam, u = eigenpair(n, j)
+        assert lam == eigenvalue(n, j)
+        assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-12)
+        residual = np.linalg.norm(A @ u - lam * u)
+        assert residual <= 1e-10 * lam
     gram = U @ U.T
     assert np.max(np.abs(gram - np.eye(len(gram)))) <= 1e-10
 
@@ -84,14 +83,14 @@ def test_thomas_reproduces_paper_demo_direction():
 
 
 def test_spectral_solve_on_eigenvector_input():
-    pair = eigenpair(3, 2)
-    v = spectral_solve(3, pair.u)
-    assert np.allclose(v, pair.u / pair.lam, rtol=1e-12, atol=1e-15)
+    lam, u = eigenpair(3, 2)
+    v = spectral_solve(3, u)
+    assert np.allclose(v, u / lam, rtol=1e-12, atol=1e-15)
 
 
 def test_spectral_matches_thomas_on_eigenvector_sum():
     n = 2
-    b = sum(eigenpair(n, j).u for j in range(1, 4))
+    b = sum(eigenpair(n, j)[1] for j in range(1, 4))
     direct = solve_classical(TridiagonalSystem(N=4), b)
     spectral = spectral_solve(n, b)
     assert np.linalg.norm(direct - spectral) <= 1e-10 * np.linalg.norm(direct)
