@@ -13,8 +13,6 @@ from .builder import (
 )
 from .circuit import (
     Circuit,
-    CostModel,
-    DEFAULT_COST_MODEL,
     Gate,
     QubitRegister,
     ResourceReport,

@@ -32,14 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import identities
-from .circuit import (
-    Circuit,
-    CostModel,
-    Gate,
-    QubitRegister,
-    ResourceReport,
-    count_resources,
-)
+from .circuit import Circuit, Gate, QubitRegister, ResourceReport, count_resources
 from .poisson import TridiagonalSystem, dst_matrix, solve_classical
 from .simulator import StateVector, apply, extract_register, fidelity, inject_register, postselect
 
@@ -56,7 +49,6 @@ class QpsConfig:
     n: int
     mode: str = SERIAL
     ry_construction: str = BITWISE
-    cost_model: CostModel | None = None
 
     def __post_init__(self):
         if self.n < 2:
@@ -304,7 +296,7 @@ def solve(config: QpsConfig, b) -> QpsSolution:
     return QpsSolution(
         solution=solution,
         success_probability=result.probability,
-        resources=count_resources(circuit, config.cost_model),
+        resources=count_resources(circuit),
         classical_reference=reference,
         fidelity=fidelity(solution, reference),
     )

@@ -11,22 +11,18 @@ Gate kinds:
             circuits, in which case simulation rejects it.
 
 Controls carry a polarity: positive fires on |1>, negative on |0>.  The
-cost model charges the same either way (negative controls are X-conjugated
-positives, which the coefficients absorb).
+cost table charges the same either way (negative controls are X-conjugated
+positives, which the costs absorb).
 
-Resource counting expands every gate through a configurable cost model
-keyed on (kind, number of controls); depth is greedy ASAP layering, both on
-IR gates (depth_native) and with each gate occupying its expanded
+Resource counting expands every gate through a fixed decomposition cost
+table keyed on (kind, number of controls); depth is greedy ASAP layering,
+both on IR gates (depth_native) and with each gate occupying its expanded
 elementary-depth on its own qubit set (depth_serial).
 """
 
 from __future__ import annotations
 
-import json
-import math
-import os
-import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -191,86 +187,30 @@ class Circuit:
         return iter(self.gates)
 
 
-@dataclass(frozen=True)
-class CostModel:
-    """Elementary-gate counts per (kind, #controls).
+# Elementary-gate costs per (kind, #controls), anchored on the paper's
+# Fig. 5: an uncontrolled rotation or NOT and a CNOT are elementary, a
+# singly-controlled rotation costs 2 and a doubly-controlled rotation pair 8.
+# Wider controls fall back to the linear multi-control construction at
+# MULTI_CONTROL_COST per control beyond the first; a block is charged the
+# declared estimate BLOCK_COST * targets**2 plus MULTI_CONTROL_COST per control.
+RY_COST = (1, 2, 8)
+X_COST = (1, 1)
+MULTI_CONTROL_COST = 16
+BLOCK_COST = 2
 
-    Anchors: an uncontrolled rotation or NOT is elementary; CNOT is
-    elementary; a singly-controlled rotation costs 2; a doubly-controlled
-    rotation unit costs 8; everything wider falls back to the linear
-    multi-control construction at linear_coefficient * (controls - 1).
-    Block gates are charged a declared estimate
-    block_coefficient * targets**2.
-    """
 
-    ry_base: tuple[int, ...] = (1, 2, 8)
-    x_base: tuple[int, ...] = (1, 1)
-    linear_coefficient: int = 16
-    block_coefficient: float = 2.0
-
-    def __post_init__(self):
-        if not self.ry_base or not self.x_base:
-            raise ValueError("cost model base tables must not be empty")
-        costs = (*self.ry_base, *self.x_base, self.linear_coefficient,
-                 self.block_coefficient)
-        if not all(c >= 0 for c in costs):  # also rejects NaN
-            raise ValueError("cost model costs must be non-negative")
-
-    def gate_cost(self, gate: Gate) -> int:
-        c = len(gate.controls)
-        if gate.kind == "ry":
-            if c < len(self.ry_base):
-                return self.ry_base[c]
-            return self.linear_coefficient * (c - 1)
-        if gate.kind == "x":
-            if c < len(self.x_base):
-                return self.x_base[c]
-            return self.linear_coefficient * (c - 1)
-        if gate.kind == "block":
-            t = len(gate.targets)
-            base = math.ceil(self.block_coefficient * t * t)
-            if c:
-                base += self.linear_coefficient * c
-            return base
+def gate_cost(gate: Gate) -> int:
+    c = len(gate.controls)
+    if gate.kind == "ry":
+        base = RY_COST
+    elif gate.kind == "x":
+        base = X_COST
+    elif gate.kind == "block":
+        t = len(gate.targets)
+        return BLOCK_COST * t * t + MULTI_CONTROL_COST * c
+    else:
         raise ValueError(f"unknown gate kind {gate.kind!r}")
-
-    @classmethod
-    def from_dict(cls, data) -> "CostModel":
-        """A model from a JSON object whose keys are fields of this class."""
-        if not isinstance(data, dict):
-            raise ValueError(f"cost model must be a JSON object, got {type(data).__name__}")
-        defaults = {f.name: f.default for f in fields(cls)}
-        unknown = sorted(set(data) - set(defaults))
-        if unknown:
-            raise ValueError(f"unknown cost model keys {unknown}; known: {sorted(defaults)}")
-        return cls(**{k: _cost_value(k, v, defaults[k]) for k, v in data.items()})
-
-    @classmethod
-    def from_env(cls, env_var: str = "QPS_COST_MODEL") -> "CostModel":
-        path = os.environ.get(env_var)
-        if not path:
-            return cls()
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
-
-
-def _cost_value(key: str, value, default):
-    """value in the shape of the field's default: a list of counts, a count
-    or a number; each within the float range (so finite) and a count integral."""
-    if isinstance(default, tuple):
-        if not isinstance(value, list):
-            raise ValueError(f"cost model {key} must be a list, got {value!r}")
-        return tuple(_cost_value(key, v, default[0]) for v in value)
-    integral = isinstance(default, int)
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not abs(value) <= sys.float_info.max
-            or (integral and value != int(value))):
-        want = "integer" if integral else "number"
-        raise ValueError(f"cost model {key} needs a finite {want}, got {value!r}")
-    return int(value) if integral else float(value)
-
-
-DEFAULT_COST_MODEL = CostModel()
+    return base[c] if c < len(base) else MULTI_CONTROL_COST * (c - 1)
 
 
 @dataclass(frozen=True)
@@ -281,15 +221,14 @@ class ResourceReport:
     depth_native: int
 
 
-def count_resources(circuit: Circuit, cost_model: CostModel | None = None) -> ResourceReport:
-    cm = cost_model or DEFAULT_COST_MODEL
+def count_resources(circuit: Circuit) -> ResourceReport:
     total = 0
     # ASAP frontiers: each gate occupies its elementary cost (serial) or one
     # layer (native) on its qubits
     serial = [0] * circuit.num_qubits
     native = [0] * circuit.num_qubits
     for gate in circuit.gates:
-        cost = cm.gate_cost(gate)
+        cost = gate_cost(gate)
         total += cost
         qubits = gate.qubits
         end_serial = max(serial[q] for q in qubits) + cost

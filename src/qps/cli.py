@@ -15,7 +15,7 @@ import numpy as np
 
 from . import verify
 from .builder import PARALLEL, QpsConfig, QpsSolution, build_qps, solve
-from .circuit import Circuit, CostModel, count_resources
+from .circuit import Circuit, count_resources
 from .identities import MAX_IDENTITY_N
 from .poisson import PRESETS, preset_rhs
 
@@ -36,13 +36,6 @@ class InputError(Exception):
 
 def _fmt(x: float) -> str:
     return f"{x:.6g}"
-
-
-def _cost_model() -> CostModel:
-    try:
-        return CostModel.from_env()
-    except (OSError, json.JSONDecodeError, ValueError, TypeError) as exc:
-        raise InputError(f"bad QPS_COST_MODEL file: {exc}") from exc
 
 
 def _check_sim_bounds(n: int, mode: str):
@@ -127,8 +120,7 @@ def _emit_solution(args, config: QpsConfig, sol: QpsSolution, b: np.ndarray):
 def cmd_demo(args) -> int:
     if args.mode == PARALLEL:
         raise ValueError("the demo runs at n=2; parallel mode needs n >= 3")
-    config = QpsConfig(n=2, mode="serial", ry_construction=args.ry,
-                       cost_model=_cost_model())
+    config = QpsConfig(n=2, mode="serial", ry_construction=args.ry)
     b = np.array(DEMO_B)
     sol = solve(config, b)
     expected = np.array(DEMO_EXPECTED)
@@ -151,8 +143,7 @@ def cmd_demo(args) -> int:
 
 def cmd_solve(args) -> int:
     _check_sim_bounds(args.n, args.mode)
-    config = QpsConfig(n=args.n, mode=args.mode, ry_construction=args.ry,
-                       cost_model=_cost_model())
+    config = QpsConfig(n=args.n, mode=args.mode, ry_construction=args.ry)
     b = _load_b(args, args.n)
     sol = solve(config, b)
     _emit_solution(args, config, sol, b)
@@ -162,6 +153,8 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     if not 2 <= args.n_max <= 6:
         raise ValueError(f"--n-max must be in [2, 6], got {args.n_max}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     checks = verify.checks(args.n_max, args.seed, args.inject_fault)
     width = max(len(name) for name, _, _ in checks)
     all_ok = True
@@ -191,13 +184,11 @@ def cmd_identities(args) -> int:
 def cmd_report(args) -> int:
     if not 2 <= args.n <= 15:
         raise ValueError(f"report supports n in [2, 15], got {args.n}")
-    config = QpsConfig(n=args.n, mode=args.mode, ry_construction=args.ry,
-                       cost_model=_cost_model())
-    cm = config.cost_model
+    config = QpsConfig(n=args.n, mode=args.mode, ry_construction=args.ry)
     circuit = build_qps(config, materialize_bc=False)
-    full = count_resources(circuit, cm)
+    full = count_resources(circuit)
     # build_qps orders its gates BC, inversion, flag, BC-dagger
-    inv = count_resources(Circuit(circuit.registers, circuit.gates[1:-2]), cm)
+    inv = count_resources(Circuit(circuit.registers, circuit.gates[1:-2]))
     n = args.n
     record = {
         "n": n,

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qps.builder import (
     QpsConfig,
@@ -213,6 +215,34 @@ def test_solve_matches_classical_oracle(n):
         assert sol.success_probability == pytest.approx(64 * float(v @ v), abs=1e-10)
         # sign convention: the postselected direction is A^-1 b itself
         assert np.allclose(sol.solution, v / np.linalg.norm(v), atol=1e-10)
+
+
+# sign x mantissa x 10^e per entry, so one b spans up to 600 decades
+_WIDE_ENTRY = st.builds(
+    lambda sign, mantissa, e: sign * mantissa * 10.0**e,
+    st.sampled_from((-1.0, 1.0)),
+    st.floats(1.0, 10.0, exclude_max=True),
+    st.integers(-300, 300),
+)
+
+
+@st.composite
+def _wide_rhs(draw):
+    n = draw(st.integers(2, 3))
+    size = 2**n - 1
+    return n, np.array(draw(st.lists(_WIDE_ENTRY, min_size=size, max_size=size)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_wide_rhs())
+def test_solve_invariants_hold_over_wide_range_rhs(case):
+    n, b = case
+    sol = solve(QpsConfig(n=n), b)
+    assert sol.fidelity >= 1 - 1e-10
+    scaled = b / np.max(np.abs(b))
+    b_hat = scaled / np.linalg.norm(scaled)
+    v = solve_classical(TridiagonalSystem(N=2**n), b_hat)
+    assert abs(sol.success_probability - 64 * float(v @ v)) <= 1e-10
 
 
 def test_solve_rejects_bad_input():
