@@ -12,20 +12,23 @@ Stages (on registers B, E, Anc, BCaux, plus C in parallel mode):
 
 Postselecting Anc = 1 collapses B onto the normalized solution direction.
 
-Two interchangeable inversion constructions are provided.  "semantic" is
-the reference: for every module m (indices j with exactly m trailing zero
-bits) it enumerates the local bit patterns and emits one multi-controlled
-rotation pair per pattern with the exact angle.  "bitwise" decomposes each
-slot angle as a signed linear function of the index bits, one singly-
-locally-controlled rotation pair per bit; sign flips only touch the pair
-cross terms, which never reach the postselected branch, so the two agree on
-everything observable.  Modules whose control pattern is wide route it
-through Anc (free until the flag) with a pair of multi-controlled NOTs when
-that is cheaper than widening every rotation.
+Two interchangeable inversion constructions share one slot-term table:
+`_slot_terms` lists the (angle, local B controls) of every rotation pair
+loading slot s of module m (indices j with exactly m trailing zero bits),
+and one emitter turns the terms into RY pairs on the slot's E pair.
+"semantic" is the reference: one multi-controlled term per local bit
+pattern, with the exact angle.  "bitwise" writes each slot angle as a
+signed linear function of the index bits, one singly-locally-controlled
+term per bit; sign flips only touch the pair cross terms, which never reach
+the postselected branch, so the two agree on everything observable.  A
+bitwise module with at least three terms routes its wide control pattern
+through Anc (free until the flag) with a pair of multi-controlled NOTs,
+which is cheaper than widening every rotation.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -106,81 +109,55 @@ def build_bc(n: int, materialize: bool = True) -> Gate:
     return Gate.block(matrix, targets=tuple(range(n)), label="BC")
 
 
-def _pair(layout: Circuit, s: int) -> tuple[int, int]:
-    e = layout.register("E")
-    return (e.qubit(2 * s), e.qubit(2 * s + 1))
-
-
 def _global_pattern(layout: Circuit, m: int) -> tuple[tuple[int, bool], ...]:
     b = layout.register("B")
     return tuple((b.qubit(t), False) for t in range(m)) + ((b.qubit(m), True),)
 
 
-def _term_width(n: int, m: int, k: int) -> int:
-    # bits 1..k of the odd part drive the slot angle; the top slot k = n-m
-    # has only n-m-1 significant bits available
-    return min(k, n - m - 1)
+def _slot_terms(layout: Circuit, n: int, m: int, s: int, ry_construction: str):
+    """(angle, local B controls) of every rotation pair loading slot s of module m.
 
-
-def _emit_slot_bitwise(gates, layout, n, m, s, source):
-    """Signed-angle decomposition of slot s of module m, controls = source."""
-    b = layout.register("B")
-    pair = _pair(layout, s)
+    Slot s >= m carries k = n-s, driven by bits 1..width of the odd part;
+    the top slot k = n-m has only n-m-1 significant bits available.
+    """
     if s < m:
-        gates.append(Gate.ry(math.pi / 3.0, pair, source))
-        return
-    k = n - s
-    gates.append(Gate.ry(math.pi - math.pi / 2**k, pair, source))
-    for r in range(1, _term_width(n, m, k) + 1):
-        gates.append(
-            Gate.ry(-math.pi / 2 ** (k - r), pair,
-                    source + ((b.qubit(m + r), True),))
-        )
-
-
-def _emit_slot_semantic(gates, layout, n, m, s, source):
-    """One exact multi-controlled rotation pair per local bit pattern."""
+        return [(math.pi / 3.0, ())]
     b = layout.register("B")
-    pair = _pair(layout, s)
-    if s < m:
-        gates.append(Gate.ry(math.pi / 3.0, pair, source))
-        return
     k = n - s
-    width = _term_width(n, m, k)
-    for pattern in range(2**width):
-        locals_ = tuple(
-            (b.qubit(m + 1 + r), bool((pattern >> r) & 1)) for r in range(width)
-        )
-        gates.append(Gate.ry(2.0 * identities.sine_angle(k, 1 + 2 * pattern), pair,
-                             source + locals_))
+    width = min(k, n - m - 1)
+    if ry_construction == SEMANTIC:
+        # one exact multi-controlled term per local bit pattern; product()
+        # varies its last item fastest, so bit r of the pattern lands on B[m+1+r]
+        qubits = [b.qubit(m + 1 + r) for r in range(width)]
+        patterns = itertools.product((False, True), repeat=width)
+        return [(2.0 * identities.sine_angle(k, 1 + 2 * p), tuple(zip(qubits, reversed(bits))))
+                for p, bits in enumerate(patterns)]
+    # bitwise: the angle as a signed linear function of the index bits
+    return [(math.pi - math.pi / 2**k, ())] + [
+        (-math.pi / 2 ** (k - r), ((b.qubit(m + r), True),)) for r in range(1, width + 1)
+    ]
 
 
-def _bitwise_unit_count(n: int, m: int) -> int:
-    units = m
-    for s in range(m, n - 1):
-        units += 1 + _term_width(n, m, n - s)
-    return units
+def _emit_slot(gates, layout, s, terms, source):
+    e = layout.register("E")
+    pair = (e.qubit(2 * s), e.qubit(2 * s + 1))
+    for angle, locals_ in terms:
+        gates.append(Gate.ry(angle, pair, source + locals_))
 
 
 def _emit_module_serial(gates, layout, n, m, ry_construction):
-    anc = layout.register("Anc")
+    slots = [_slot_terms(layout, n, m, s, ry_construction) for s in range(n - 1)]
     pattern = _global_pattern(layout, m)
-    if ry_construction == SEMANTIC:
-        for s in range(n - 1):
-            _emit_slot_semantic(gates, layout, n, m, s, pattern)
-        return
-    # route wide patterns through Anc when that is cheaper than widening
-    # every rotation in the module
-    factored = m >= 1 and _bitwise_unit_count(n, m) >= 3
-    if factored:
-        work = ((anc.qubit(0), True),)
-        gates.append(Gate.x(anc.qubit(0), pattern))
-        for s in range(n - 1):
-            _emit_slot_bitwise(gates, layout, n, m, s, work)
-        gates.append(Gate.x(anc.qubit(0), pattern))
-    else:
-        for s in range(n - 1):
-            _emit_slot_bitwise(gates, layout, n, m, s, pattern)
+    # route a bitwise module's wide pattern through Anc when that is cheaper
+    # than widening every rotation in the module
+    routed = ry_construction == BITWISE and m >= 1 and sum(map(len, slots)) >= 3
+    anc = layout.register("Anc").qubit(0)
+    if routed:
+        gates.append(Gate.x(anc, pattern))
+    for s, terms in enumerate(slots):
+        _emit_slot(gates, layout, s, terms, ((anc, True),) if routed else pattern)
+    if routed:
+        gates.append(Gate.x(anc, pattern))
 
 
 def build_inversion_serial(n: int, ry_construction: str = BITWISE) -> Circuit:
@@ -199,7 +176,6 @@ def build_inversion_parallel(n: int, ry_construction: str = BITWISE) -> Circuit:
     layout = Circuit(standard_registers(n, parallel=True))
     c = layout.register("C")
     b = layout.register("B")
-    emit_slot = _emit_slot_semantic if ry_construction == SEMANTIC else _emit_slot_bitwise
 
     gates: list[Gate] = []
     # CP: one multi-controlled NOT per module writes the pattern "lowest m
@@ -213,7 +189,7 @@ def build_inversion_parallel(n: int, ry_construction: str = BITWISE) -> Circuit:
         for m in range(n - 1):
             s = (r + m) % (n - 1)
             source = ((b.qubit(0), True),) if m == 0 else ((c.qubit(m - 1), True),)
-            emit_slot(gates, layout, n, m, s, source)
+            _emit_slot(gates, layout, s, _slot_terms(layout, n, m, s, ry_construction), source)
 
     # the all-constant module j = 2**(n-1) is emitted as in the serial build
     _emit_module_serial(gates, layout, n, n - 1, ry_construction)

@@ -39,11 +39,18 @@ def _narrow(values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StateVector:
+    """A normalized state that owns its amplitude array.
+
+    A contiguous array of the narrowed dtype is stored as it is and made
+    read-only in place, so the caller must not write to it afterwards; any
+    other input is converted into a new array.
+    """
+
     num_qubits: int
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = _narrow(self.amplitudes)
+        amps = np.ascontiguousarray(_narrow(self.amplitudes))
         if amps.shape != (2**self.num_qubits,):
             raise ValueError(
                 f"amplitude vector must have length 2**{self.num_qubits}"
@@ -51,7 +58,6 @@ class StateVector:
         norm = np.linalg.norm(amps)
         if not abs(norm - 1.0) <= NORM_TOL:
             raise ValueError(f"statevector norm {norm!r} deviates from 1")
-        amps = amps.copy()
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
@@ -71,23 +77,12 @@ class PostselectResult:
     state: StateVector
 
 
-def _axis(num_qubits: int, qubit: int) -> int:
-    return num_qubits - 1 - qubit
-
-
-def _control_index(num_qubits: int, controls):
+def _select(num_qubits: int, assignment) -> tuple:
+    """Index of the rank-q tensor that fixes each (qubit, bit) of assignment."""
     idx = [slice(None)] * num_qubits
-    fixed_axes = []
-    for qubit, positive in controls:
-        ax = _axis(num_qubits, qubit)
-        idx[ax] = 1 if positive else 0
-        fixed_axes.append(ax)
-    return tuple(idx), sorted(fixed_axes)
-
-
-def _sub_axis(num_qubits: int, qubit: int, fixed_axes) -> int:
-    ax = _axis(num_qubits, qubit)
-    return ax - sum(1 for f in fixed_axes if f < ax)
+    for qubit, bit in assignment:
+        idx[num_qubits - 1 - qubit] = 1 if bit else 0
+    return tuple(idx)
 
 
 def _gate_matrix(gate: Gate) -> np.ndarray:
@@ -114,14 +109,14 @@ def _gate_matrix(gate: Gate) -> np.ndarray:
 
 
 def _apply_gate(tensor: np.ndarray, num_qubits: int, gate: Gate, matrix: np.ndarray):
-    idx, fixed = _control_index(num_qubits, gate.controls)
-    sub = tensor[idx]
     # target axes most significant first, so that the C-order flattening of
-    # the moved block matches the register-value indexing of the matrix
-    axes = [_sub_axis(num_qubits, t, fixed) for t in reversed(gate.targets)]
-    moved = np.moveaxis(sub, axes, range(len(axes)))
-    flat = moved.reshape(len(matrix), -1)
-    moved[...] = (matrix @ flat).reshape(moved.shape)
+    # the moved block matches the register-value indexing of the matrix;
+    # the control axes follow and are indexed away
+    qubits = [*reversed(gate.targets), *(q for q, _ in gate.controls)]
+    moved = np.moveaxis(tensor, [num_qubits - 1 - q for q in qubits], range(len(qubits)))
+    sub = moved[(slice(None),) * len(gate.targets) + tuple(int(p) for _, p in gate.controls)]
+    flat = sub.reshape(len(matrix), -1)
+    sub[...] = (matrix @ flat).reshape(sub.shape)
 
 
 def apply(state: StateVector, circuit: Circuit) -> StateVector:
@@ -159,20 +154,20 @@ def inject_register(state: StateVector, register: QubitRegister, amplitudes) -> 
     return StateVector(state.num_qubits, new.reshape(-1))
 
 
-def postselect(state: StateVector, qubits, outcome, floor: float = POSTSELECT_FLOOR) -> PostselectResult:
+def postselect(state: StateVector, qubits, outcome) -> PostselectResult:
     qubits = list(qubits)
     outcome = list(outcome)
     if len(qubits) != len(outcome):
         raise ValueError("qubits and outcome bits must align")
     q = state.num_qubits
-    idx, _ = _control_index(q, [(qb, bool(bit)) for qb, bit in zip(qubits, outcome)])
+    idx = _select(q, zip(qubits, outcome))
     tensor = state.tensor()
     sub = tensor[idx]
     probability = float(np.vdot(sub, sub).real)
-    if not probability >= floor:
+    if not probability >= POSTSELECT_FLOOR:
         raise RuntimeError(
             f"postselection impossible: outcome probability {probability:.3e} "
-            f"below floor {floor:.1e}"
+            f"below floor {POSTSELECT_FLOOR:.1e}"
         )
     new = np.zeros_like(tensor)
     new[idx] = sub / math.sqrt(probability)
@@ -180,13 +175,12 @@ def postselect(state: StateVector, qubits, outcome, floor: float = POSTSELECT_FL
                             state=StateVector(q, new.reshape(-1)))
 
 
-def extract_register(state: StateVector, register: QubitRegister, fixed,
-                     residual_tol: float = RESIDUAL_TOL) -> np.ndarray:
+def extract_register(state: StateVector, register: QubitRegister, fixed) -> np.ndarray:
     """Read a register's amplitude vector after fixing all other registers.
 
     fixed maps each remaining register to the basis value it is asserted to
     hold; the state must factorize accordingly (residual mass outside the
-    fixed assignment below residual_tol).
+    fixed assignment below RESIDUAL_TOL).
     """
     q = state.num_qubits
     controls = []
@@ -200,13 +194,12 @@ def extract_register(state: StateVector, register: QubitRegister, fixed,
     if covered != set(range(q)):
         raise ValueError("fixed assignments must cover all other registers")
 
-    idx, fixed_axes = _control_index(q, controls)
-    sub = state.tensor()[idx]
+    sub = state.tensor()[_select(q, controls)]
     # remaining axes are the register's qubits in descending order, so the
     # C-order flattening is already indexed by register value
     vec = sub.reshape(-1)
     mass = float(np.vdot(vec, vec).real)
-    if not 1.0 - mass <= residual_tol:
+    if not 1.0 - mass <= RESIDUAL_TOL:
         raise RuntimeError(
             f"state does not factorize: residual mass {1.0 - mass:.3e} outside "
             f"the fixed assignment"

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -328,3 +330,23 @@ def test_serial_qubit_count_is_3n():
     for n in range(2, 9):
         circ = build_qps(QpsConfig(n=n), materialize_bc=False)
         assert circ.num_qubits == 3 * n
+
+
+# SHA-256 of every gate of build_qps (counting-only BC), serial n=2..10 and
+# parallel n=3..10 in both constructions: 14,356 gates.  Pins each angle bit,
+# control and the gate order, which the frozen report counts do not see.
+GATE_FINGERPRINT = "2c6271846dfb6474fc14d10a397f9bdc8da7a7eeafbe08140c2fd85ed5e52579"
+
+
+def test_gate_fingerprint_unchanged():
+    digest = hashlib.sha256()
+    count = 0
+    for ry in ("bitwise", "semantic"):
+        for mode, lo in (("serial", 2), ("parallel", 3)):
+            for n in range(lo, 11):
+                for g in build_qps(QpsConfig(n, mode, ry), materialize_bc=False).gates:
+                    angle = None if g.angle is None else g.angle.hex()
+                    digest.update(repr((g.kind, g.targets, g.controls, angle, g.label)).encode())
+                    count += 1
+    assert count == 14356
+    assert digest.hexdigest() == GATE_FINGERPRINT

@@ -35,12 +35,6 @@ def test_demo_json_schema(capsys):
     assert record["max_abs_difference"] <= 1e-6
 
 
-def test_demo_rejects_parallel(capsys):
-    code, _, err = run(capsys, "demo", "--mode", "parallel")
-    assert code == EXIT_CONFIG
-    assert "parallel" in err
-
-
 def test_solve_preset_sin_fidelity(capsys):
     code, out, _ = run(capsys, "solve", "--n", "4", "--preset", "sin",
                        "--output", "json")
@@ -274,10 +268,24 @@ def test_solve_extreme_rhs(capsys, b, code):
         assert "non-finite" in err
 
 
+def test_solve_negative_first_b_value(capsys):
+    # argparse takes "--b -1,2,3" for a missing value; "--b=-1,2,3" is the form
+    code, out, _ = run(capsys, "solve", "--n", "2", "--b=-1,2,3", "--output", "json")
+    assert code == EXIT_OK
+    assert json.loads(out)["config"]["b"] == ["-1.0", "2.0", "3.0"]
+
+
+def test_solve_unknown_preset(capsys):
+    code, _, err = run(capsys, "solve", "--n", "3", "--preset", "nope")
+    assert code == EXIT_CONFIG
+    assert err == "error: unknown preset 'nope'; choose from ['const', 'ramp', 'sin']\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["report", "--n", "2", "--output", "csv"],
     ["verify", "--output", "json"],
     ["solve", "--n", "2", "--preset", "sin", "--seed", "1"],
+    ["demo", "--mode", "parallel"],
 ])
 def test_unimplemented_options_rejected(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -46,6 +46,15 @@ def test_non_finite_amplitudes_rejected(bad):
         inject_register(StateVector.ground(4), A, [bad, 1, 0, 0])
 
 
+def test_statevector_owns_the_array_it_is_handed():
+    amps = np.array([0.6, 0.8])
+    state = StateVector(1, amps)
+    assert state.amplitudes is amps
+    assert not amps.flags.writeable
+    with pytest.raises(ValueError):
+        amps[0] = 1.0
+
+
 def test_amplitude_dtypes():
     assert StateVector.ground(3).amplitudes.dtype == np.float64
     narrowed = StateVector(1, np.array([0.6 + 0j, 0.8 + 0j]))
