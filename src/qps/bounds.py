@@ -1,0 +1,27 @@
+"""The n every entry point accepts: one table of inclusive (lo, hi) rows.
+
+A key names the entry point (and mode) and is the subject of the error.
+- serial / parallel solve: library `builder.solve`; a dense state of at most
+  2**24 amplitudes (128 MiB as float64).  With one BLAS thread, serial n=7
+  takes 0.51 s / 85 MB, n=8 11.6 s / 440 MB, and parallel n=6 0.9 s / 131 MB.
+- serial / parallel simulation: `qps solve`, `qps verify --n-max` and its
+  construction-equivalence sweep; interactive sizes.
+- report: construction and counting only, up to the paper's n=15.
+- identity residual: the log-domain sums stay stable up to n=14.
+- inversion identity: a 2**n-step Python loop, 0.56 s at n=16, doubling per n.
+- dense BC block: a 2**n x 2**n matrix, checked for unitarity in O(8**n).
+"""
+
+BOUNDS = {
+    "serial solve": (2, 8), "parallel solve": (3, 6),
+    "serial simulation": (2, 6), "parallel simulation": (3, 5),
+    "identity residual": (1, 14), "inversion identity": (2, 12),
+    "report": (2, 15), "dense BC block": (2, 12),
+}
+
+
+def check(what: str, n: int) -> None:
+    """Raise ValueError unless row `what` accepts n."""
+    lo, hi = BOUNDS[what]
+    if not lo <= n <= hi:
+        raise ValueError(f"{what} supports n in [{lo}, {hi}], got {n}")

@@ -34,12 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import identities
+from . import bounds, identities
 from .circuit import Circuit, Gate, QubitRegister, ResourceReport, count_resources
 from .poisson import TridiagonalSystem, dst_matrix, solve_classical
 from .simulator import StateVector, apply, extract_register, fidelity, inject_register, postselect
-
-MAX_BC_QUBITS = 12
 
 SERIAL = "serial"
 PARALLEL = "parallel"
@@ -54,8 +52,8 @@ class QpsConfig:
     ry_construction: str = BITWISE
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"n must be >= 2, got {self.n}")
+        if not isinstance(self.n, (int, np.integer)) or self.n < 2:
+            raise ValueError(f"n must be an integer >= 2, got {self.n!r}")
         if self.mode not in (SERIAL, PARALLEL):
             raise ValueError(f"mode must be 'serial' or 'parallel', got {self.mode!r}")
         if self.ry_construction not in (SEMANTIC, BITWISE):
@@ -103,8 +101,8 @@ def bc_matrix(n: int) -> np.ndarray:
 
 def build_bc(n: int, materialize: bool = True) -> Gate:
     """The basis-conversion block; counting-only (matrix None) unless materialized."""
-    if n < 2 or (materialize and n > MAX_BC_QUBITS):
-        raise ValueError(f"basis conversion supports 2 <= n <= {MAX_BC_QUBITS}, got {n}")
+    if materialize or n < 2:
+        bounds.check("dense BC block", n)
     matrix = bc_matrix(n) if materialize else None
     return Gate.block(matrix, targets=tuple(range(n)), label="BC")
 
@@ -215,7 +213,7 @@ def build_qps(config: QpsConfig, materialize_bc: bool | None = None) -> Circuit:
     """BC, eigenvalue inversion, success flag, BC-dagger, in that gate order."""
     layout = Circuit(standard_registers(config.n, parallel=config.mode == PARALLEL))
     if materialize_bc is None:
-        materialize_bc = config.n <= MAX_BC_QUBITS
+        materialize_bc = config.n <= bounds.BOUNDS[f"{config.mode} solve"][1]
     bc = build_bc(config.n, materialize_bc)
     inversion = inversion_stage_circuit(config)
     gates = [bc, *inversion.gates, build_flag(layout), bc.adjoint()]
@@ -229,6 +227,7 @@ def _register_amplitudes(n: int, b_hat: np.ndarray) -> np.ndarray:
 
 
 def solve(config: QpsConfig, b) -> QpsSolution:
+    bounds.check(f"{config.mode} solve", config.n)
     rhs = np.asarray(b, dtype=float)
     if rhs.ndim != 1 or len(rhs) != 2**config.n - 1:
         raise ValueError(

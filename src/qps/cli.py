@@ -13,10 +13,9 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import verify
+from . import bounds, verify
 from .builder import QpsConfig, QpsSolution, build_qps, solve
 from .circuit import Circuit, count_resources
-from .identities import MAX_IDENTITY_N
 from .poisson import PRESETS, preset_rhs
 
 EXIT_OK = 0
@@ -27,8 +26,6 @@ EXIT_VERIFY = 4
 DEMO_B = (2.0 ** -0.5, 0.5, 0.5)
 DEMO_EXPECTED = (0.552987, 0.674065, 0.489736)
 
-SIM_BOUNDS = {"serial": (2, 6), "parallel": (3, 5)}
-
 
 class InputError(Exception):
     pass
@@ -36,12 +33,6 @@ class InputError(Exception):
 
 def _fmt(x: float) -> str:
     return f"{x:.6g}"
-
-
-def _check_sim_bounds(n: int, mode: str):
-    lo, hi = SIM_BOUNDS[mode]
-    if not lo <= n <= hi:
-        raise ValueError(f"{mode} simulation supports n in [{lo}, {hi}], got {n}")
 
 
 def _load_b(args, n: int) -> np.ndarray:
@@ -136,7 +127,7 @@ def cmd_demo(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    _check_sim_bounds(args.n, args.mode)
+    bounds.check(f"{args.mode} simulation", args.n)
     config = QpsConfig(n=args.n, mode=args.mode, ry_construction=args.ry)
     b = _load_b(args, args.n)
     sol = solve(config, b)
@@ -145,8 +136,6 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if not 2 <= args.n_max <= 6:
-        raise ValueError(f"--n-max must be in [2, 6], got {args.n_max}")
     if args.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
     checks = verify.checks(args.n_max, args.seed, args.inject_fault)
@@ -160,8 +149,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_identities(args) -> int:
-    if not 1 <= args.n_max <= MAX_IDENTITY_N:
-        raise ValueError(f"--n-max must be in [1, {MAX_IDENTITY_N}], got {args.n_max}")
     rows = verify.identity_rows(args.n_max)
     if args.output == "json":
         print(json.dumps(rows, indent=2))
@@ -176,8 +163,7 @@ def cmd_identities(args) -> int:
 
 
 def cmd_report(args) -> int:
-    if not 2 <= args.n <= 15:
-        raise ValueError(f"report supports n in [2, 15], got {args.n}")
+    bounds.check("report", args.n)
     config = QpsConfig(n=args.n, mode=args.mode, ry_construction=args.ry)
     circuit = build_qps(config, materialize_bc=False)
     full = count_resources(circuit)

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import math
 
+from . import bounds
 from .poisson import eigenvalue
 
 LN2 = math.log(2.0)
-MAX_IDENTITY_N = 14
 
 
 def odd_factor(j: int) -> tuple[int, int]:
@@ -60,6 +60,7 @@ def inversion_value(angles: tuple[float, ...]) -> float:
 
 def inversion_identity_error(n: int) -> float:
     """Max over j of the relative error |value - 8/lambda_j| / (8/lambda_j)."""
+    bounds.check("inversion identity", n)
     worst = 0.0
     for j in range(1, 2**n):
         target = 8.0 / eigenvalue(n, j)
@@ -70,8 +71,7 @@ def inversion_identity_error(n: int) -> float:
 
 def sine_formula_residual(n: int) -> float:
     """Log-domain residual of 2**(2**(n+1)-2) * prod_j sin^2(j pi / 2**(n+1)) = 2**n."""
-    if not 1 <= n <= MAX_IDENTITY_N:
-        raise ValueError(f"n must be in [1, {MAX_IDENTITY_N}], got {n}")
+    bounds.check("identity residual", n)
     denom = 1 << (n + 1)
     log_lhs = (denom - 2) * LN2
     for j in range(1, 2**n):
@@ -84,8 +84,7 @@ def odd_layer_residual(n: int) -> float:
 
     prod_{k=1..n} prod_{j=1..2**(k-1)} sin^2((2j-1) pi / 2**(k+1)) = 2**(n+2-2**(n+1))
     """
-    if not 1 <= n <= MAX_IDENTITY_N:
-        raise ValueError(f"n must be in [1, {MAX_IDENTITY_N}], got {n}")
+    bounds.check("identity residual", n)
     log_lhs = 0.0
     for k in range(1, n + 1):
         denom = 1 << (k + 1)

@@ -26,7 +26,6 @@ from .circuit import Circuit, Gate, QubitRegister
 NORM_TOL = 1e-12
 POSTSELECT_FLOOR = 1e-12
 RESIDUAL_TOL = 1e-10
-MAX_BLOCK_TARGETS = 12
 
 
 def _narrow(values) -> np.ndarray:
@@ -99,10 +98,6 @@ def _gate_matrix(gate: Gate) -> np.ndarray:
         if gate.matrix is None:
             raise ValueError(
                 f"block gate {gate.label!r} has no matrix; counting-only circuit"
-            )
-        if len(gate.targets) > MAX_BLOCK_TARGETS:
-            raise ValueError(
-                f"block gates are limited to {MAX_BLOCK_TARGETS} targets"
             )
         return _narrow(gate.matrix)
     raise ValueError(f"unknown gate kind {gate.kind!r}")

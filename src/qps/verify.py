@@ -8,17 +8,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import builder, identities, poisson, simulator
+from . import bounds, builder, identities, poisson, simulator
 from .circuit import Circuit, Gate
 
 TRIALS = 10
 
 
 def identity_rows(n_max: int) -> list[dict]:
-    """The sine-identity residuals for n = 1..n_max; inversion error only for 2..12."""
+    """The sine-identity residuals for n = 1..n_max; inversion error where its row accepts n."""
+    bounds.check("identity residual", n_max)
+    lo, hi = bounds.BOUNDS["inversion identity"]
     rows = []
     for n in range(1, n_max + 1):
-        inv = identities.inversion_identity_error(n) if 2 <= n <= 12 else None
+        inv = identities.inversion_identity_error(n) if lo <= n <= hi else None
         rows.append({
             "n": n,
             "sine_formula_residual": identities.sine_formula_residual(n),
@@ -88,7 +90,8 @@ def construction_equivalence(ns, trials: int, rng) -> float:
 
 
 def checks(n_max: int, seed: int, fault: bool) -> list[tuple[str, bool, str]]:
-    """The suites behind `qps verify` at n <= n_max (2..6); (name, ok, detail) rows."""
+    """The suites behind `qps verify` at n <= n_max; (name, ok, detail) rows."""
+    bounds.check("serial simulation", n_max)
     rng = np.random.default_rng(seed)
     rows = identity_rows(n_max)
     eq5 = max(row["sine_formula_residual"] for row in rows)
@@ -96,7 +99,8 @@ def checks(n_max: int, seed: int, fault: bool) -> list[tuple[str, bool, str]]:
     inv = max(row["inversion_max_rel_error"] for row in rows[1:])
     audit = amplitude_audit(range(2, n_max + 1), fault)
     fid, prob = solve_sweep(range(2, n_max + 1), TRIALS, rng)
-    equiv = construction_equivalence(range(3, min(n_max, 5) + 1), TRIALS // 2, rng)
+    lo, hi = bounds.BOUNDS["parallel simulation"]
+    equiv = construction_equivalence(range(lo, min(n_max, hi) + 1), TRIALS // 2, rng)
 
     worst_sp = 0.0
     for n in range(2, n_max + 1):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qps import builder
 from qps.builder import (
     QpsConfig,
     bc_matrix,
@@ -257,6 +258,11 @@ def test_solve_rejects_bad_input():
 def test_config_validation():
     with pytest.raises(ValueError):
         QpsConfig(n=1)
+    for n in (3.0, 2.5, True, "3", None):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            QpsConfig(n=n)
+    assert QpsConfig(n=np.int64(3)).n == 3
+    assert build_qps(QpsConfig(n=np.int32(2))).num_qubits == 6
     with pytest.raises(ValueError):
         QpsConfig(n=2, mode="parallel")
     with pytest.raises(ValueError):
@@ -350,3 +356,26 @@ def test_gate_fingerprint_unchanged():
                     count += 1
     assert count == 14356
     assert digest.hexdigest() == GATE_FINGERPRINT
+
+
+def _fail(*args, **kwargs):
+    raise AssertionError("called past an out-of-range n")
+
+
+def test_solve_checks_its_bound_before_allocating(monkeypatch):
+    monkeypatch.setattr(StateVector, "ground", _fail)
+    monkeypatch.setattr(builder, "bc_matrix", _fail)
+    monkeypatch.setattr(builder, "build_qps", _fail)
+    for config, message in [
+        (QpsConfig(n=9), r"serial solve supports n in \[2, 8\], got 9"),
+        (QpsConfig(n=7, mode="parallel"), r"parallel solve supports n in \[3, 6\], got 7"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            builder.solve(config, np.ones(2**config.n - 1))
+
+
+def test_bc_stays_counting_only_past_the_solve_row(monkeypatch):
+    monkeypatch.setattr(builder, "bc_matrix", _fail)
+    circuit = build_qps(QpsConfig(n=9))
+    assert circuit.gates[0].label == "BC" and circuit.gates[0].matrix is None
+    assert circuit.gates[-1].label == "BC†" and circuit.gates[-1].matrix is None

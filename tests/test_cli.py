@@ -6,9 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qps import builder
+from qps import builder, cli, verify
+from qps.bounds import BOUNDS
 from qps.circuit import Circuit
 from qps.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VERIFY, main
+from qps.simulator import StateVector
 
 
 def run(capsys, *argv):
@@ -124,6 +126,42 @@ def test_verify_rejects_negative_seed(capsys):
     assert code == EXIT_CONFIG
     assert out == ""
     assert err == "error: --seed must be >= 0, got -1\n"
+
+
+def _fail(*args, **kwargs):
+    raise AssertionError("called past an out-of-range n")
+
+
+def test_verify_checks_owns_its_bound(monkeypatch):
+    monkeypatch.setattr(builder, "solve", _fail)
+    with pytest.raises(ValueError, match=r"serial simulation supports n in \[2, 6\], got 7"):
+        verify.checks(7, 0, False)
+
+
+# each CLI command with its n option last, and the bound-table row it reads
+CLI_ROWS = [
+    (("solve", "--preset", "sin", "--n"), "serial simulation"),
+    (("solve", "--preset", "sin", "--mode", "parallel", "--n"), "parallel simulation"),
+    (("verify", "--n-max"), "serial simulation"),
+    (("report", "--n"), "report"),
+    (("identities", "--n-max"), "identity residual"),
+]
+
+
+@pytest.mark.parametrize("argv,row,n", [
+    pytest.param(argv, row, n, id=f"{argv[0]}-{row}-{n}")
+    for argv, row in CLI_ROWS
+    for n in (BOUNDS[row][0] - 1, BOUNDS[row][1] + 1)
+])
+def test_cli_rejects_n_outside_its_row(capsys, monkeypatch, argv, row, n):
+    for owner, name in ((StateVector, "ground"), (builder, "bc_matrix"),
+                        (builder, "build_qps"), (cli, "build_qps")):
+        monkeypatch.setattr(owner, name, _fail)
+    code, out, err = run(capsys, *argv, str(n))
+    lo, hi = BOUNDS[row]
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err == f"error: {row} supports n in [{lo}, {hi}], got {n}\n"
 
 
 def _edit_gates(monkeypatch, name, edit):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from qps.identities import (
     inversion_angles,
+    inversion_identity_error,
     inversion_value,
     odd_factor,
     odd_layer_residual,
@@ -129,3 +130,9 @@ def test_residual_rejects_out_of_range():
     with pytest.raises(ValueError):
         odd_layer_residual(15)
 
+
+def test_inversion_identity_error_rejects_out_of_range():
+    with pytest.raises(ValueError, match=r"inversion identity supports n in \[2, 12\], got 13"):
+        inversion_identity_error(13)
+    with pytest.raises(ValueError):
+        inversion_identity_error(1)
