@@ -2,13 +2,13 @@
 
 Stages (on registers B, E, Anc, BCaux, plus C in parallel mode):
 
-  1. basis conversion: a sine-transform block on B mapping the operator's
-     eigenvectors to computational basis states;
-  2. eigenvalue inversion: controlled rotation pairs loading the sine
-     factors of 8/lambda_j onto register E, so the E = |1...1> amplitude of
-     branch |j> is exactly 8/lambda_j;
-  3. a NOT on Anc controlled by every E qubit (the success flag);
-  4. uncompute of the basis conversion.
+  1. "bc", basis conversion: a sine-transform block on B mapping the
+     operator's eigenvectors to computational basis states;
+  2. "inversion", eigenvalue inversion: controlled rotation pairs loading
+     the sine factors of 8/lambda_j onto register E, so the E = |1...1>
+     amplitude of branch |j> is exactly 8/lambda_j;
+  3. "flag": a NOT on Anc controlled by every E qubit (the success flag);
+  4. "bcdag": uncompute of the basis conversion.
 
 Postselecting Anc = 1 collapses B onto the normalized solution direction.
 
@@ -196,10 +196,10 @@ def build_inversion_parallel(n: int, ry_construction: str = BITWISE) -> Circuit:
     return Circuit(layout.registers, gates)
 
 
-def build_flag(layout: Circuit) -> Gate:
-    """NOT on Anc controlled by every E qubit: the success flag."""
-    controls = tuple((q, True) for q in layout.register("E").qubits)
-    return Gate.x(layout.register("Anc").qubit(0), controls)
+def build_flag(circuit: Circuit) -> Gate:
+    """NOT on Anc controlled by every E qubit of the circuit: the success flag."""
+    controls = tuple((q, True) for q in circuit.register("E").qubits)
+    return Gate.x(circuit.register("Anc").qubit(0), controls)
 
 
 def inversion_stage_circuit(config: QpsConfig) -> Circuit:
@@ -210,14 +210,14 @@ def inversion_stage_circuit(config: QpsConfig) -> Circuit:
 
 
 def build_qps(config: QpsConfig, materialize_bc: bool | None = None) -> Circuit:
-    """BC, eigenvalue inversion, success flag, BC-dagger, in that gate order."""
-    layout = Circuit(standard_registers(config.n, parallel=config.mode == PARALLEL))
+    """BC, eigenvalue inversion, success flag, BC-dagger, as named stages."""
     if materialize_bc is None:
         materialize_bc = config.n <= bounds.BOUNDS[f"{config.mode} solve"][1]
     bc = build_bc(config.n, materialize_bc)
     inversion = inversion_stage_circuit(config)
-    gates = [bc, *inversion.gates, build_flag(layout), bc.adjoint()]
-    return Circuit(layout.registers, gates)
+    gates = [bc, *inversion.gates, build_flag(inversion), bc.adjoint()]
+    stages = (("bc", 1), ("inversion", len(inversion.gates)), ("flag", 1), ("bcdag", 1))
+    return Circuit(inversion.registers, gates, stages)
 
 
 def _register_amplitudes(n: int, b_hat: np.ndarray) -> np.ndarray:

@@ -156,7 +156,7 @@ class Gate:
 class Circuit:
     """Ordered gates over a fixed register layout; immutable once built."""
 
-    def __init__(self, registers, gates=()):
+    def __init__(self, registers, gates=(), stages=()):
         regs = tuple(registers)
         spans = sorted((r.offset, r.offset + r.width, r.name) for r in regs)
         position = 0
@@ -172,12 +172,23 @@ class Circuit:
             if bad:
                 raise ValueError(f"gate {g.kind!r} touches out-of-range qubits {bad}")
         self.gates = gates
+        # stages: (name, gate count) pairs that tile the gates in order
+        self.stages: dict[str, slice] = {}
+        start = 0
+        for name, count in stages:
+            if name in self.stages or count < 0:
+                raise ValueError(f"stage {name!r} repeats or has negative count {count}")
+            self.stages[name] = slice(start, start + count)
+            start += count
+        if self.stages and start != len(gates):
+            raise ValueError(f"stages cover {start} gates of {len(gates)}")
         self._by_name = {r.name: r for r in regs}
 
     def register(self, name: str) -> QubitRegister:
         return self._by_name[name]
 
     def adjoint(self) -> "Circuit":
+        """The reversed, conjugated circuit; it carries no stages."""
         return Circuit(self.registers, tuple(g.adjoint() for g in reversed(self.gates)))
 
     def __len__(self):
@@ -221,13 +232,15 @@ class ResourceReport:
     depth_native: int
 
 
-def count_resources(circuit: Circuit) -> ResourceReport:
+def count_resources(circuit: Circuit, stage: str | None = None) -> ResourceReport:
+    """Resources of the whole circuit, or of one named stage counted on its own."""
+    gates = circuit.gates if stage is None else circuit.gates[circuit.stages[stage]]
     total = 0
     # ASAP frontiers: each gate occupies its elementary cost (serial) or one
     # layer (native) on its qubits
     serial = [0] * circuit.num_qubits
     native = [0] * circuit.num_qubits
-    for gate in circuit.gates:
+    for gate in gates:
         cost = gate_cost(gate)
         total += cost
         qubits = gate.qubits

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import bounds, verify
 from .builder import QpsConfig, QpsSolution, build_qps, solve
-from .circuit import Circuit, count_resources
+from .circuit import count_resources
 from .poisson import PRESETS, preset_rhs
 
 EXIT_OK = 0
@@ -167,8 +167,7 @@ def cmd_report(args) -> int:
     config = QpsConfig(n=args.n, mode=args.mode, ry_construction=args.ry)
     circuit = build_qps(config, materialize_bc=False)
     full = count_resources(circuit)
-    # build_qps orders its gates BC, inversion, flag, BC-dagger
-    inv = count_resources(Circuit(circuit.registers, circuit.gates[1:-2]))
+    inv = count_resources(circuit, "inversion")
     n = args.n
     record = {
         "n": n,

@@ -14,6 +14,7 @@ from qps.builder import (
     build_inversion_parallel,
     build_inversion_serial,
     build_qps,
+    inversion_stage_circuit,
     solve,
     standard_registers,
 )
@@ -146,25 +147,37 @@ def test_flag_behaviour():
     assert np.array_equal(back.amplitudes, st.amplitudes)
 
 
+def _stage_gate(circ, name):
+    (gate,) = circ.gates[circ.stages[name]]
+    return gate
+
+
 def test_qps_composition_uncomputes_bc():
-    # the stage structure perfbench's split_stages relies on:
-    # BC first, the E-controlled flag second to last, BC-dagger last
+    # the named stages: BC, inversion, the E-controlled flag, BC-dagger
     cases = [("serial", n) for n in (2, 3, 4)] + [("parallel", n) for n in (3, 4)]
     for mode, n in cases:
-        circ = build_qps(QpsConfig(n=n, mode=mode))
-        bc, flag, bcdag = circ.gates[0], circ.gates[-2], circ.gates[-1]
+        config = QpsConfig(n=n, mode=mode)
+        circ = build_qps(config)
+        assert list(circ.stages) == ["bc", "inversion", "flag", "bcdag"]
+        assert circ.gates[circ.stages["inversion"]] == inversion_stage_circuit(config).gates
+        bc, flag, bcdag = (_stage_gate(circ, name) for name in ("bc", "flag", "bcdag"))
         assert (bc.kind, bc.label, bc.targets) == ("block", "BC", tuple(range(n)))
         assert (bcdag.kind, bcdag.label, bcdag.targets) == ("block", "BC†", bc.targets)
         assert np.allclose(bc.matrix @ bcdag.matrix, np.eye(2**n), atol=1e-14)
         assert flag.kind == "x"
         assert flag.targets == (circ.register("Anc").qubit(0),)
         assert flag.controls == tuple((q, True) for q in circ.register("E").qubits)
-    # beyond the materializable range the BC blocks are counting-only
+    # beyond the materializable range the BC blocks are counting-only, and
+    # the inversion stage counts as the stand-alone inversion circuit
     for mode in ("serial", "parallel"):
         for n in (13, 14, 15):
-            circ = build_qps(QpsConfig(n=n, mode=mode), materialize_bc=False)
-            assert circ.gates[0].label == "BC" and circ.gates[-1].label == "BC†"
-            assert circ.gates[0].matrix is None and circ.gates[-1].matrix is None
+            config = QpsConfig(n=n, mode=mode)
+            circ = build_qps(config, materialize_bc=False)
+            bc, bcdag = _stage_gate(circ, "bc"), _stage_gate(circ, "bcdag")
+            assert bc.label == "BC" and bcdag.label == "BC†"
+            assert bc.matrix is None and bcdag.matrix is None
+            assert count_resources(circ, "inversion") == count_resources(
+                inversion_stage_circuit(config))
     with pytest.raises(ValueError):
         build_bc(13)
 
@@ -377,5 +390,6 @@ def test_solve_checks_its_bound_before_allocating(monkeypatch):
 def test_bc_stays_counting_only_past_the_solve_row(monkeypatch):
     monkeypatch.setattr(builder, "bc_matrix", _fail)
     circuit = build_qps(QpsConfig(n=9))
-    assert circuit.gates[0].label == "BC" and circuit.gates[0].matrix is None
-    assert circuit.gates[-1].label == "BC†" and circuit.gates[-1].matrix is None
+    bc, bcdag = _stage_gate(circuit, "bc"), _stage_gate(circuit, "bcdag")
+    assert bc.label == "BC" and bc.matrix is None
+    assert bcdag.label == "BC†" and bcdag.matrix is None

@@ -63,11 +63,29 @@ def test_adjoint_is_involution_gate_for_gate():
         assert g1 == g2
 
 
+def _staged():
+    gates = [Gate.ry(0.3, 0), Gate.x(1), Gate.x(2, controls=((0, True),))]
+    return Circuit(REGS, gates, (("head", 1), ("body", 2), ("tail", 0)))
+
+
+def test_stages_tile_the_gates():
+    c = _staged()
+    assert c.stages == {"head": slice(0, 1), "body": slice(1, 3), "tail": slice(3, 3)}
+    assert c.gates[c.stages["body"]] == c.gates[1:]
+    assert Circuit(REGS, c.gates).stages == {}
+    for stages in ((("a", 1), ("b", 1)), (("a", 2), ("b", 2)), (("a", 4), ("b", -1))):
+        with pytest.raises(ValueError):
+            Circuit(REGS, c.gates, stages)
+    with pytest.raises(ValueError, match="repeats"):
+        Circuit(REGS, c.gates, (("a", 1), ("a", 2)))
+
+
 def test_adjoint_reverses_order_and_conjugates():
-    c = Circuit(REGS, [Gate.ry(0.3, 0), Gate.x(1)])
-    adj = c.adjoint()
-    assert adj.gates[0] == Gate.x(1)
-    assert adj.gates[1] == Gate.ry(-0.3, 0)
+    for c in (Circuit(REGS, [Gate.ry(0.3, 0), Gate.x(1)]), _staged()):
+        adj = c.adjoint()
+        assert adj.gates[-1] == Gate.ry(-0.3, 0)
+        assert adj.gates[-2] == Gate.x(1)
+        assert adj.stages == {}
 
 
 def test_cost_model_anchors():
