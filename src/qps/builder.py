@@ -36,7 +36,7 @@ import numpy as np
 
 from . import bounds, identities
 from .circuit import Circuit, Gate, QubitRegister, ResourceReport, count_resources
-from .poisson import TridiagonalSystem, dst_matrix, solve_classical
+from .poisson import TridiagonalSystem, solve_classical
 from .simulator import StateVector, apply, extract_register, fidelity, inject_register, postselect
 
 SERIAL = "serial"
@@ -95,7 +95,8 @@ def bc_matrix(n: int) -> np.ndarray:
     N = 2**n
     M = np.zeros((N, N))
     M[0, 0] = 1.0
-    M[1:, 1:] = dst_matrix(N)
+    idx = np.arange(1, N)
+    M[1:, 1:] = np.sqrt(2.0 / N) * np.sin(np.outer(idx, idx) * np.pi / N)
     return M
 
 

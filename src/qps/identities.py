@@ -62,8 +62,8 @@ def inversion_identity_error(n: int) -> float:
     """Max over j of the relative error |value - 8/lambda_j| / (8/lambda_j)."""
     bounds.check("inversion identity", n)
     worst = 0.0
-    for j in range(1, 2**n):
-        target = 8.0 / eigenvalue(n, j)
+    targets = 8.0 / eigenvalue(n, range(1, 2**n))
+    for j, target in enumerate(targets.tolist(), start=1):
         got = inversion_value(inversion_angles(n, j))
         worst = max(worst, abs(got - target) / target)
     return worst

@@ -3,8 +3,8 @@
 Finite-difference discretization on the unit interval with N = 2**n cells,
 interior grid points x_i = i/N (i = 1..N-1, boundary values eliminated),
 the tridiagonal Toeplitz eigensystem in closed form, and two independent
-direct solvers (Thomas elimination and the sine-spectral expansion) used as
-oracles for everything the quantum pipeline produces.
+direct solvers (an O(N) Thomas elimination and an O(N log N) FFT sine-spectral
+expansion) used as oracles for everything the quantum pipeline produces.
 """
 
 from __future__ import annotations
@@ -21,6 +21,14 @@ def _as_vector(b) -> np.ndarray:
     v = np.asarray(b, dtype=float)
     if v.ndim != 1:
         raise ValueError("right-hand side must be a 1-D real vector")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("right-hand side has a non-finite entry")
+    return v
+
+
+def _finite(v: np.ndarray, solver: str) -> np.ndarray:
+    if not np.all(np.isfinite(v)):
+        raise RuntimeError(f"{solver} overflowed to a non-finite entry")
     return v
 
 
@@ -47,13 +55,19 @@ class TridiagonalSystem:
         k = self.size
         return 2 * s * np.eye(k) - s * np.eye(k, k=1) - s * np.eye(k, k=-1)
 
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """A v in O(N), without forming matrix()."""
+        return self.scale * (2.0 * v - np.append(v[1:], 0.0) - np.append(0.0, v[:-1]))
 
-def eigenvalue(n: int, j: int) -> float:
-    """lambda_j = 4 N^2 sin^2(j pi / 2N) for the N-1 dimensional system."""
+
+def eigenvalue(n: int, j) -> float | np.ndarray:
+    """lambda_j = 4 N^2 sin^2(j pi / 2N); a float for an int j, an array for index arrays."""
     N = 2**n
-    if not 1 <= j <= N - 1:
+    idx = np.asarray(j)
+    if not np.all((1 <= idx) & (idx <= N - 1)):
         raise ValueError(f"eigenvalue index j must be in [1, {N - 1}], got {j}")
-    return 4.0 * N * N * math.sin(j * math.pi / (2 * N)) ** 2
+    lam = 4.0 * N * N * np.sin(idx * np.pi / (2 * N)) ** 2
+    return float(lam) if lam.ndim == 0 else lam
 
 
 def eigenpair(n: int, j: int) -> tuple[float, np.ndarray]:
@@ -63,13 +77,12 @@ def eigenpair(n: int, j: int) -> tuple[float, np.ndarray]:
     return eigenvalue(n, j), math.sqrt(2.0 / N) * np.sin(j * k * np.pi / N)
 
 
-def dst_matrix(N: int) -> np.ndarray:
-    """Type-I discrete sine transform, rows u_j(k) = sqrt(2/N) sin(jk pi / N).
-
-    Symmetric and orthogonal, so it is its own inverse.
-    """
-    idx = np.arange(1, N)
-    return np.sqrt(2.0 / N) * np.sin(np.outer(idx, idx) * np.pi / N)
+def dst(v: np.ndarray) -> np.ndarray:
+    """Orthonormal DST-I with rows u_j (see eigenpair), so its own inverse; O(N log N)."""
+    N = len(v) + 1
+    # the rfft of the odd extension has imaginary part -2 sum_k v_k sin(jk pi / N)
+    odd = np.concatenate(([0.0], v, [0.0], -v[::-1]))
+    return -math.sqrt(0.5 / N) * np.fft.rfft(odd).imag[1:N]
 
 
 def solve_classical(system: TridiagonalSystem, b) -> np.ndarray:
@@ -82,23 +95,20 @@ def solve_classical(system: TridiagonalSystem, b) -> np.ndarray:
     diag = 2.0 * s
     off = -s
 
-    # forward sweep
-    cp = np.empty(k)
-    dp = np.empty(k)
-    cp[0] = off / diag
-    dp[0] = rhs[0] / diag
+    # Python floats round as numpy float64 does, without the scalar-indexing cost
+    rhs_list = rhs.tolist()
+    cp = [off / diag]
+    dp = [rhs_list[0] / diag]
     for i in range(1, k):
         denom = diag - off * cp[i - 1]
-        cp[i] = off / denom
-        dp[i] = (rhs[i] - off * dp[i - 1]) / denom
-
-    # back substitution
-    v = np.empty(k)
-    v[-1] = dp[-1]
+        cp.append(off / denom)
+        dp.append((rhs_list[i] - off * dp[i - 1]) / denom)
+    v = dp[:]
     for i in range(k - 2, -1, -1):
         v[i] = dp[i] - cp[i] * v[i + 1]
+    v = _finite(np.array(v), "tridiagonal solve")
 
-    residual = np.linalg.norm(system.matrix() @ v - rhs)
+    residual = np.linalg.norm(system.matvec(v) - rhs)
     bound = RELATIVE_TOL * max(np.linalg.norm(rhs), 1e-300)
     if residual > bound:
         raise RuntimeError(
@@ -113,9 +123,7 @@ def spectral_solve(n: int, b) -> np.ndarray:
     N = 2**n
     if len(v) != N - 1:
         raise ValueError(f"b must have length {N - 1}")
-    S = dst_matrix(N)
-    lam = np.array([eigenvalue(n, j) for j in range(1, N)])
-    return S @ ((S @ v) / lam)
+    return _finite(dst(dst(v) / eigenvalue(n, np.arange(1, N))), "spectral solve")
 
 
 # Named right-hand-side presets, evaluated at the interior grid points.

@@ -1,11 +1,16 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qps.builder import bc_matrix
 from qps.poisson import (
+    PRESETS,
     TridiagonalSystem,
-    dst_matrix,
+    dst,
     eigenpair,
     eigenvalue,
     preset_rhs,
@@ -38,6 +43,8 @@ def test_discretize_n3_diagonal():
 ])
 def test_eigenvalue_examples(n, j, expected):
     assert eigenvalue(n, j) == pytest.approx(expected, rel=1e-12)
+    assert type(eigenvalue(n, j)) is float
+    assert eigenvalue(n, np.array([j]))[0] == eigenvalue(n, j)
 
 
 def test_eigenvalue_rejects_out_of_range():
@@ -45,6 +52,8 @@ def test_eigenvalue_rejects_out_of_range():
         eigenvalue(2, 0)
     with pytest.raises(ValueError):
         eigenvalue(2, 4)
+    with pytest.raises(ValueError):
+        eigenvalue(2, np.array([1, 2, 4]))
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -125,10 +134,93 @@ def test_solver_agreement_property(values):
     assert np.linalg.norm(direct - spectral) <= 1e-10 * np.linalg.norm(direct)
 
 
-def test_dst_matrix_is_orthogonal_involution():
-    S = dst_matrix(16)
-    assert np.max(np.abs(S @ S - np.eye(15))) <= 1e-12
-    assert np.max(np.abs(S - S.T)) == 0.0
+# SHA-256 of solve_classical's output bytes on seeded Gaussian b at n=2..12
+# and on every preset at n=3..8.  `solve`'s classical_reference and every
+# fidelity rest on these bits, so any change to the sweep's arithmetic or
+# its operation order shows here.
+THOMAS_FINGERPRINT = "967a6e9c9dde7fd0fad00de5ec914c806b360d9f22fd85dad73e9e3e4220a5e8"
+
+
+def test_thomas_output_fingerprint_unchanged():
+    digest = hashlib.sha256()
+    for n in range(2, 13):
+        b = np.random.default_rng([7, n]).standard_normal(2**n - 1)
+        digest.update(solve_classical(TridiagonalSystem(N=2**n), b).tobytes())
+    for name in PRESETS:
+        for n in range(3, 9):
+            v = solve_classical(TridiagonalSystem(N=2**n), preset_rhs(name, n))
+            digest.update(v.tobytes())
+    assert digest.hexdigest() == THOMAS_FINGERPRINT
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_matvec_matches_dense_matrix(n):
+    system = TridiagonalSystem(N=2**n)
+    v = np.random.default_rng(n).standard_normal(2**n - 1)
+    dense = system.matrix() @ v
+    assert np.linalg.norm(system.matvec(v) - dense) <= 1e-15 * np.linalg.norm(dense)
+
+
+def _no_dense_matrix(self):
+    raise AssertionError("an oracle formed the dense matrix")
+
+
+def test_oracles_form_nothing_dense_at_n12(monkeypatch):
+    monkeypatch.setattr(TridiagonalSystem, "matrix", _no_dense_matrix)
+    b = np.random.default_rng(12).standard_normal(2**12 - 1)
+    for oracle in (lambda: solve_classical(TridiagonalSystem(N=2**12), b),
+                   lambda: spectral_solve(12, b)):
+        tracemalloc.start()
+        try:
+            oracle()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6  # the dense 4095 x 4095 matrix alone is 134 MB
+
+
+@pytest.mark.parametrize("b, error", [
+    ([np.nan] + [1.0] * 6, ValueError),
+    ([np.inf] + [1.0] * 6, ValueError),
+    (1e308 * np.ones(7), RuntimeError),  # finite, but the solve overflows
+])
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_oracles_never_return_a_non_finite_vector(b, error):
+    with pytest.raises(error, match="non-finite"):
+        solve_classical(TridiagonalSystem(N=8), b)
+    with pytest.raises(error, match="non-finite"):
+        spectral_solve(3, b)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_dst_is_an_involution(n):
+    v = np.random.default_rng(n).standard_normal(2**n - 1)
+    assert np.max(np.abs(dst(dst(v)) - v)) <= 1e-14
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_dst_columns_are_the_bc_block(n):
+    N = 2**n
+    S = np.array([dst(e) for e in np.eye(N - 1)])
+    assert np.max(np.abs(S - S.T)) <= 1e-15
+    idx = np.arange(1, N)
+    exact = np.sqrt(2.0 / N) * np.sin(np.pi * (np.outer(idx, idx) % (2 * N)) / N)
+    assert np.max(np.abs(S - exact)) <= 1e-15
+    # bc_matrix takes sin of the unreduced jk pi / N < pi N, whose rounding
+    # (about 1.5 eps relative) moves an entry by up to 5 eps sqrt(2N): 1.5e-14
+    # was measured at n=10
+    assert np.max(np.abs(S - bc_matrix(n)[1:, 1:])) <= 5 * np.finfo(float).eps * np.sqrt(2 * N)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_spectral_solve_matches_dense_formula(n):
+    N = 2**n
+    b = np.random.default_rng(n).standard_normal(N - 1)
+    idx = np.arange(1, N)
+    S = np.sqrt(2.0 / N) * np.sin(np.outer(idx, idx) * np.pi / N)
+    lam = np.array([eigenvalue(n, j) for j in range(1, N)])
+    dense = S @ ((S @ b) / lam)
+    assert np.linalg.norm(spectral_solve(n, b) - dense) <= 1e-14 * np.linalg.norm(dense)
 
 
 def test_truncation_error_halves_quadratically():
