@@ -28,6 +28,7 @@ which is cheaper than widening every rotation.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -108,9 +109,15 @@ def build_bc(n: int, materialize: bool = True) -> Gate:
     return Gate.block(matrix, targets=tuple(range(n)), label="BC")
 
 
+@functools.cache
+def _control_pairs(num_qubits: int) -> tuple[tuple[tuple[int, bool], ...], ...]:
+    """The one (qubit, polarity) pair every control uses: ``pairs[q][polarity]``."""
+    return tuple(((q, False), (q, True)) for q in range(num_qubits))
+
+
 def _global_pattern(layout: Circuit, m: int) -> tuple[tuple[int, bool], ...]:
-    b = layout.register("B")
-    return tuple((b.qubit(t), False) for t in range(m)) + ((b.qubit(m), True),)
+    b, pairs = layout.register("B"), _control_pairs(layout.num_qubits)
+    return tuple(pairs[b.qubit(t)][False] for t in range(m)) + (pairs[b.qubit(m)][True],)
 
 
 def _slot_terms(layout: Circuit, n: int, m: int, s: int, ry_construction: str):
@@ -121,19 +128,19 @@ def _slot_terms(layout: Circuit, n: int, m: int, s: int, ry_construction: str):
     """
     if s < m:
         return [(math.pi / 3.0, ())]
-    b = layout.register("B")
+    b, pairs = layout.register("B"), _control_pairs(layout.num_qubits)
     k = n - s
     width = min(k, n - m - 1)
     if ry_construction == SEMANTIC:
         # one exact multi-controlled term per local bit pattern; product()
-        # varies its last item fastest, so bit r of the pattern lands on B[m+1+r]
-        qubits = [b.qubit(m + 1 + r) for r in range(width)]
-        patterns = itertools.product((False, True), repeat=width)
-        return [(2.0 * identities.sine_angle(k, 1 + 2 * p), tuple(zip(qubits, reversed(bits))))
-                for p, bits in enumerate(patterns)]
+        # varies its last factor fastest, so with the factors taken from
+        # B[m+width] down to B[m+1], bit r of the pattern lands on B[m+1+r]
+        patterns = itertools.product(*(pairs[b.qubit(m + r)] for r in range(width, 0, -1)))
+        return [(2.0 * identities.sine_angle(k, 1 + 2 * p), controls[::-1])
+                for p, controls in enumerate(patterns)]
     # bitwise: the angle as a signed linear function of the index bits
     return [(math.pi - math.pi / 2**k, ())] + [
-        (-math.pi / 2 ** (k - r), ((b.qubit(m + r), True),)) for r in range(1, width + 1)
+        (-math.pi / 2 ** (k - r), (pairs[b.qubit(m + r)][True],)) for r in range(1, width + 1)
     ]
 
 
@@ -153,30 +160,24 @@ def _emit_module_serial(gates, layout, n, m, ry_construction):
     anc = layout.register("Anc").qubit(0)
     if routed:
         gates.append(Gate.x(anc, pattern))
+    source = (_control_pairs(layout.num_qubits)[anc][True],) if routed else pattern
     for s, terms in enumerate(slots):
-        _emit_slot(gates, layout, s, terms, ((anc, True),) if routed else pattern)
+        _emit_slot(gates, layout, s, terms, source)
     if routed:
         gates.append(Gate.x(anc, pattern))
 
 
-def build_inversion_serial(n: int, ry_construction: str = BITWISE) -> Circuit:
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    layout = Circuit(standard_registers(n))
+def _inversion_gates(config: QpsConfig) -> tuple[Circuit, list[Gate]]:
+    """The empty register layout of config and its eigenvalue-inversion gates."""
+    n, ry_construction = config.n, config.ry_construction
+    layout = Circuit(standard_registers(n, config.mode == PARALLEL))
     gates: list[Gate] = []
-    for m in range(n):
-        _emit_module_serial(gates, layout, n, m, ry_construction)
-    return Circuit(layout.registers, gates)
-
-
-def build_inversion_parallel(n: int, ry_construction: str = BITWISE) -> Circuit:
-    if n < 3:
-        raise ValueError(f"parallel construction requires n >= 3, got {n}")
-    layout = Circuit(standard_registers(n, parallel=True))
-    c = layout.register("C")
-    b = layout.register("B")
-
-    gates: list[Gate] = []
+    if config.mode == SERIAL:
+        for m in range(n):
+            _emit_module_serial(gates, layout, n, m, ry_construction)
+        return layout, gates
+    c, b = layout.register("C"), layout.register("B")
+    pairs = _control_pairs(layout.num_qubits)
     # CP: one multi-controlled NOT per module writes the pattern "lowest m
     # bits zero, bit m set" into C[m-1]
     cp = [Gate.x(c.qubit(m - 1), _global_pattern(layout, m)) for m in range(1, n - 1)]
@@ -187,27 +188,35 @@ def build_inversion_parallel(n: int, ry_construction: str = BITWISE) -> Circuit:
     for r in range(n - 1):
         for m in range(n - 1):
             s = (r + m) % (n - 1)
-            source = ((b.qubit(0), True),) if m == 0 else ((c.qubit(m - 1), True),)
+            source = (pairs[b.qubit(0) if m == 0 else c.qubit(m - 1)][True],)
             _emit_slot(gates, layout, s, _slot_terms(layout, n, m, s, ry_construction), source)
 
     # the all-constant module j = 2**(n-1) is emitted as in the serial build
     _emit_module_serial(gates, layout, n, n - 1, ry_construction)
 
     gates.extend(reversed(cp))
-    return Circuit(layout.registers, gates)
-
-
-def build_flag(circuit: Circuit) -> Gate:
-    """NOT on Anc controlled by every E qubit of the circuit: the success flag."""
-    controls = tuple((q, True) for q in circuit.register("E").qubits)
-    return Gate.x(circuit.register("Anc").qubit(0), controls)
+    return layout, gates
 
 
 def inversion_stage_circuit(config: QpsConfig) -> Circuit:
     """Just the eigenvalue-inversion stage (for audits and depth reports)."""
-    if config.mode == PARALLEL:
-        return build_inversion_parallel(config.n, config.ry_construction)
-    return build_inversion_serial(config.n, config.ry_construction)
+    layout, gates = _inversion_gates(config)
+    return Circuit(layout.registers, gates)
+
+
+def build_inversion_serial(n: int, ry_construction: str = BITWISE) -> Circuit:
+    return inversion_stage_circuit(QpsConfig(n, SERIAL, ry_construction))
+
+
+def build_inversion_parallel(n: int, ry_construction: str = BITWISE) -> Circuit:
+    return inversion_stage_circuit(QpsConfig(n, PARALLEL, ry_construction))
+
+
+def build_flag(circuit: Circuit) -> Gate:
+    """NOT on Anc controlled by every E qubit of the circuit: the success flag."""
+    pairs = _control_pairs(circuit.num_qubits)
+    controls = tuple(pairs[q][True] for q in circuit.register("E").qubits)
+    return Gate.x(circuit.register("Anc").qubit(0), controls)
 
 
 def build_qps(config: QpsConfig, materialize_bc: bool | None = None) -> Circuit:
@@ -215,10 +224,10 @@ def build_qps(config: QpsConfig, materialize_bc: bool | None = None) -> Circuit:
     if materialize_bc is None:
         materialize_bc = config.n <= bounds.BOUNDS[f"{config.mode} solve"][1]
     bc = build_bc(config.n, materialize_bc)
-    inversion = inversion_stage_circuit(config)
-    gates = [bc, *inversion.gates, build_flag(inversion), bc.adjoint()]
-    stages = (("bc", 1), ("inversion", len(inversion.gates)), ("flag", 1), ("bcdag", 1))
-    return Circuit(inversion.registers, gates, stages)
+    layout, inversion = _inversion_gates(config)
+    gates = [bc, *inversion, build_flag(layout), bc.adjoint()]
+    stages = (("bc", 1), ("inversion", len(inversion)), ("flag", 1), ("bcdag", 1))
+    return Circuit(layout.registers, gates, stages)
 
 
 def _register_amplitudes(n: int, b_hat: np.ndarray) -> np.ndarray:

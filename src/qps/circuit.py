@@ -23,6 +23,7 @@ elementary-depth on its own qubit set (depth_serial).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import itemgetter
 
 import numpy as np
 
@@ -53,7 +54,7 @@ class QubitRegister:
         return self.offset + i
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Gate:
     kind: str
     targets: tuple[int, ...]
@@ -67,13 +68,12 @@ class Gate:
             raise ValueError(f"unknown gate kind {self.kind!r}")
         if not self.targets:
             raise ValueError("gate needs at least one target")
-        tset = set(self.targets)
-        if len(tset) != len(self.targets):
-            raise ValueError("duplicate target qubits")
-        cset = {c for c, _ in self.controls}
-        if len(cset) != len(self.controls):
-            raise ValueError("duplicate control qubits")
-        if tset & cset:
+        qubits = self.qubits
+        if len(set(qubits)) != len(qubits):
+            if len(set(self.targets)) != len(self.targets):
+                raise ValueError("duplicate target qubits")
+            if len(set(qubits[len(self.targets):])) != len(self.controls):
+                raise ValueError("duplicate control qubits")
             raise ValueError("targets and controls must be disjoint")
         if self.kind == "ry":
             if self.angle is None:
@@ -138,7 +138,7 @@ class Gate:
 
     @property
     def qubits(self) -> tuple[int, ...]:
-        return self.targets + tuple(c for c, _ in self.controls)
+        return self.targets + tuple(map(itemgetter(0), self.controls))
 
     def adjoint(self) -> "Gate":
         if self.kind == "ry":
@@ -168,8 +168,9 @@ class Circuit:
         self.num_qubits = position
         gates = tuple(gates)
         for g in gates:
-            bad = [q for q in g.qubits if not 0 <= q < self.num_qubits]
-            if bad:
+            qubits = g.qubits
+            if min(qubits) < 0 or max(qubits) >= position:
+                bad = [q for q in qubits if not 0 <= q < position]
                 raise ValueError(f"gate {g.kind!r} touches out-of-range qubits {bad}")
         self.gates = gates
         # stages: (name, gate count) pairs that tile the gates in order
@@ -234,6 +235,8 @@ class ResourceReport:
 
 def count_resources(circuit: Circuit, stage: str | None = None) -> ResourceReport:
     """Resources of the whole circuit, or of one named stage counted on its own."""
+    if stage is not None and stage not in circuit.stages:
+        raise ValueError(f"unknown stage {stage!r}; known stages: {list(circuit.stages)}")
     gates = circuit.gates if stage is None else circuit.gates[circuit.stages[stage]]
     total = 0
     # ASAP frontiers: each gate occupies its elementary cost (serial) or one
@@ -244,8 +247,8 @@ def count_resources(circuit: Circuit, stage: str | None = None) -> ResourceRepor
         cost = gate_cost(gate)
         total += cost
         qubits = gate.qubits
-        end_serial = max(serial[q] for q in qubits) + cost
-        end_native = max(native[q] for q in qubits) + 1
+        end_serial = max(map(serial.__getitem__, qubits)) + cost
+        end_native = max(map(native.__getitem__, qubits)) + 1
         for q in qubits:
             serial[q] = end_serial
             native[q] = end_native

@@ -107,14 +107,18 @@ def solve_classical(system: TridiagonalSystem, b) -> np.ndarray:
     for i in range(k - 2, -1, -1):
         v[i] = dp[i] - cp[i] * v[i + 1]
     v = _finite(np.array(v), "tridiagonal solve")
-
-    residual = np.linalg.norm(system.matvec(v) - rhs)
-    bound = RELATIVE_TOL * max(np.linalg.norm(rhs), 1e-300)
-    if residual > bound:
-        raise RuntimeError(
-            f"tridiagonal solve residual {residual:.3e} exceeds bound {bound:.3e}"
-        )
+    _check_residual(system, v, rhs)
     return v
+
+
+def _check_residual(system: TridiagonalSystem, v: np.ndarray, rhs: np.ndarray) -> None:
+    """Raise unless ||A v - b|| <= RELATIVE_TOL ||b||, both in units of max|b| to stay finite."""
+    peak = np.max(np.abs(rhs)) or 1.0
+    residual = np.linalg.norm((system.matvec(v) - rhs) / peak)
+    bound = RELATIVE_TOL * max(np.linalg.norm(rhs / peak), 1e-300)
+    if residual > bound:
+        raise RuntimeError(f"tridiagonal solve residual {residual:.3e} exceeds bound "
+                           f"{bound:.3e} (in units of max|b|)")
 
 
 def spectral_solve(n: int, b) -> np.ndarray:

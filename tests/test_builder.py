@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -282,6 +283,12 @@ def test_config_validation():
         QpsConfig(n=3, mode="fast")
     with pytest.raises(ValueError):
         QpsConfig(n=3, ry_construction="magic")
+    # the stand-alone inversion builders validate through QpsConfig too
+    for build, n, ry in ((build_inversion_serial, 1, "bitwise"),
+                         (build_inversion_parallel, 2, "bitwise"),
+                         (build_inversion_serial, 3, "magic")):
+        with pytest.raises(ValueError):
+            build(n, ry)
 
 
 def test_semantic_bitwise_equivalence_exhaustive_n3():
@@ -369,6 +376,36 @@ def test_gate_fingerprint_unchanged():
                     count += 1
     assert count == 14356
     assert digest.hexdigest() == GATE_FINGERPRINT
+
+
+ALL_CONFIGS = [(mode, ry) for mode in ("serial", "parallel") for ry in ("semantic", "bitwise")]
+
+
+@pytest.mark.parametrize("mode, ry", ALL_CONFIGS)
+def test_gates_share_their_control_pairs(mode, ry):
+    for n in range(3 if mode == "parallel" else 2, 11):
+        circuit = build_qps(QpsConfig(n, mode, ry), materialize_bc=False)
+        pairs = {id(p) for g in circuit.gates for p in g.controls}
+        assert len(pairs) <= 2 * circuit.num_qubits
+
+
+def test_semantic_build_peak_memory():
+    tracemalloc.start()
+    try:
+        circuit = build_qps(QpsConfig(12, "serial", "semantic"), materialize_bc=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(circuit.gates) == 12307
+    assert peak <= 6e6  # a fresh (qubit, polarity) tuple per control peaks at 11.2 MB
+
+
+@pytest.mark.parametrize("mode, ry", ALL_CONFIGS)
+def test_inversion_slice_is_the_inversion_stage(mode, ry):
+    for n in range(3, 11):
+        config = QpsConfig(n, mode, ry)
+        circuit = build_qps(config, materialize_bc=False)
+        assert circuit.gates[circuit.stages["inversion"]] == inversion_stage_circuit(config).gates
 
 
 def _fail(*args, **kwargs):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,14 +16,21 @@ def _random_unitary(dim, rng):
 
 
 def test_gate_validation():
-    with pytest.raises(ValueError):
-        Gate.ry(0.5, (0, 0))
-    with pytest.raises(ValueError):
-        Gate.ry(0.5, 0, controls=((0, True),))
-    with pytest.raises(ValueError):
-        Gate(kind="h", targets=(0,))
-    with pytest.raises(ValueError):
-        Gate.ry(0.5, (0, 1, 2))
+    for make, message in [
+        (lambda: Gate.ry(0.5, (0, 0)), "duplicate target qubits"),
+        (lambda: Gate.ry(0.5, (0, 0), controls=((1, True), (1, False))),
+         "duplicate target qubits"),
+        (lambda: Gate.x(0, controls=((1, True), (1, False))), "duplicate control qubits"),
+        (lambda: Gate.ry(0.5, (0, 1), controls=((2, True), (2, True), (0, True))),
+         "duplicate control qubits"),
+        (lambda: Gate.ry(0.5, 0, controls=((0, True),)), "targets and controls must be disjoint"),
+        (lambda: Gate.x(2, controls=((1, True), (2, False))),
+         "targets and controls must be disjoint"),
+        (lambda: Gate(kind="h", targets=(0,)), "unknown gate kind 'h'"),
+        (lambda: Gate.ry(0.5, (0, 1, 2)), "ry supports one or two targets"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make()
 
 
 def test_block_unitarity_enforced():
@@ -40,8 +48,18 @@ def test_register_tiling_enforced():
 
 
 def test_gate_bounds_checked():
-    with pytest.raises(ValueError):
-        Circuit(REGS, [Gate.ry(0.5, 4)])
+    ok = Gate.ry(0.5, (0, 3), controls=((1, True), (2, False)))
+    for gate, bad in [
+        (Gate.ry(0.5, 4), "[4]"),
+        (Gate.ry(0.5, (-1, 0)), "[-1]"),
+        (Gate.x(0, controls=((4, True), (1, True), (7, False))), "[4, 7]"),
+        (Gate.x(1, controls=((-2, True),)), "[-2]"),
+        (Gate.ry(0.5, (-1, 5), controls=((9, True),)), "[-1, 5, 9]"),
+    ]:
+        message = rf"^gate '{gate.kind}' touches out-of-range qubits {re.escape(bad)}$"
+        with pytest.raises(ValueError, match=message):
+            Circuit(REGS, [ok, gate, ok])
+    assert Circuit(REGS, [ok]).gates == (ok,)
 
 
 def test_adjoint_of_rotation_negates_angle():
@@ -78,6 +96,17 @@ def test_stages_tile_the_gates():
             Circuit(REGS, c.gates, stages)
     with pytest.raises(ValueError, match="repeats"):
         Circuit(REGS, c.gates, (("a", 1), ("a", 2)))
+
+
+def test_unknown_stage_rejected():
+    assert count_resources(_staged(), "body") == count_resources(
+        Circuit(REGS, _staged().gates[1:]))
+    for circuit, stage, known in [
+        (_staged(), "inversion", r"\['head', 'body', 'tail'\]"),
+        (Circuit(REGS, [Gate.x(1)]), "body", r"\[\]"),
+    ]:
+        with pytest.raises(ValueError, match=f"unknown stage '{stage}'; known stages: {known}"):
+            count_resources(circuit, stage)
 
 
 def test_adjoint_reverses_order_and_conjugates():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qps import poisson
 from qps.builder import bc_matrix
 from qps.poisson import (
     PRESETS,
@@ -190,6 +191,17 @@ def test_oracles_never_return_a_non_finite_vector(b, error):
         solve_classical(TridiagonalSystem(N=8), b)
     with pytest.raises(error, match="non-finite"):
         spectral_solve(3, b)
+
+
+def test_residual_guard_holds_at_huge_rhs():
+    # at |b| ~ 1e200 a plain norm squares past the float range to inf, which
+    # would make the bound inf and let any finite v through
+    system = TridiagonalSystem(N=8)
+    b = 1e200 * np.random.default_rng(3).standard_normal(7)
+    v = solve_classical(system, b)
+    with pytest.raises(RuntimeError, match="residual .* exceeds bound"):
+        poisson._check_residual(system, (1 + 1e-6) * v, b)
+    poisson._check_residual(system, v, b)
 
 
 @pytest.mark.parametrize("n", range(2, 13))
