@@ -30,6 +30,37 @@ def identity_rows(n_max: int) -> list[dict]:
     return rows
 
 
+def dense_branch_amplitudes(circ: Circuit) -> np.ndarray:
+    """E = |1...1> amplitude left by each basis input |j> of B, indexed by j.
+
+    No gate may target B, so the circuit is block-diagonal in B's value: one run
+    on sum_j w|j> over a block of 4**k inputs, w = 2**-k, leaves w times branch
+    j's amplitude at j + ones.  Scaling by a power of two is exact, so each
+    branch reads bit-identically to a run on |j> alone.  One block holds all
+    2**n inputs for even n, two halves for odd n.
+    """
+    breg = circ.register("B")
+    b_qubits = set(breg.qubits)
+    for i, g in enumerate(circ.gates):
+        if b_qubits.intersection(g.targets):
+            raise RuntimeError(
+                f"amplitude audit needs an inversion stage that never targets B; "
+                f"gate {i} ({g.kind}) targets {g.targets}")
+    e = circ.register("E")
+    ones = (2**e.width - 1) << e.offset
+    n = breg.width
+    size, weight = 4 ** (n // 2), 2.0 ** -(n // 2)
+    branch = np.empty(2**n)
+    for start in range(0, 2**n, size):
+        amps = np.zeros(2**n)
+        amps[start:start + size] = weight
+        state = simulator.inject_register(
+            simulator.StateVector.ground(circ.num_qubits), breg, amps)
+        out = simulator.apply(state, circ).amplitudes
+        branch[start:start + size] = out[ones + start:ones + start + size].real / weight
+    return branch
+
+
 def amplitude_audit(ns, fault: bool = False) -> float:
     """Max |amplitude - 8/lambda_j| of E = |1...1> over every basis input |j> of B.
 
@@ -44,17 +75,9 @@ def amplitude_audit(ns, fault: bool = False) -> float:
             gates[pos] = Gate.ry(gates[pos].angle + 0.1, gates[pos].targets,
                                  gates[pos].controls)
             circ = Circuit(circ.registers, gates)
-        breg = circ.register("B")
-        e = circ.register("E")
-        ones = (2**e.width - 1) << e.offset
+        branch = dense_branch_amplitudes(circ)
         for j in range(1, 2**n):
-            amps = np.zeros(2**n)
-            amps[j] = 1.0
-            state = simulator.inject_register(
-                simulator.StateVector.ground(circ.num_qubits), breg, amps)
-            out = simulator.apply(state, circ)
-            got = out.amplitudes[j + ones].real
-            worst = max(worst, abs(got - 8.0 / poisson.eigenvalue(n, j)))
+            worst = max(worst, abs(branch[j] - 8.0 / poisson.eigenvalue(n, j)))
     return worst
 
 
@@ -102,13 +125,16 @@ def checks(n_max: int, seed: int, fault: bool) -> list[tuple[str, bool, str]]:
     lo, hi = bounds.BOUNDS["parallel simulation"]
     equiv = construction_equivalence(range(lo, min(n_max, hi) + 1), TRIALS // 2, rng)
 
-    worst_sp = 0.0
+    # two backward-stable solves differ by about cond(A) eps; the largest seen
+    # was 0.76 cond(A) eps, at n=2 over 20000 Gaussian b
+    worst_sp, sp_ok = 0.0, True
     for n in range(2, n_max + 1):
         b = rng.standard_normal(2**n - 1)
         direct = poisson.solve_classical(poisson.TridiagonalSystem(N=2**n), b)
         spectral = poisson.spectral_solve(n, b)
         rel = float(np.linalg.norm(direct - spectral) / np.linalg.norm(direct))
         worst_sp = max(worst_sp, rel)
+        sp_ok &= rel <= 16 * poisson.condition_number(n) * poisson.EPS
     return [
         ("sine-formula residual", eq5 <= 1e-9, f"max {eq5:.2e}"),
         ("odd-layer residual", layers <= 1e-9, f"max {layers:.2e}"),
@@ -118,5 +144,5 @@ def checks(n_max: int, seed: int, fault: bool) -> list[tuple[str, bool, str]]:
         ("success-probability identity", prob <= 1e-10, f"max abs {prob:.2e}"),
         ("construction equivalence", equiv >= 1 - 1e-10,
          f"min fidelity {equiv:.12f}"),
-        ("classical solver cross-check", worst_sp <= 1e-10, f"max rel {worst_sp:.2e}"),
+        ("classical solver cross-check", sp_ok, f"max rel {worst_sp:.2e}"),
     ]

@@ -204,6 +204,35 @@ def test_residual_guard_holds_at_huge_rhs():
     poisson._check_residual(system, v, b)
 
 
+@pytest.mark.parametrize("n", range(16, 21))
+def test_correct_solve_passes_the_guard_at_large_n(n):
+    # ||A v - b|| / ||b|| reaches 1.5e-8 at n=20, so a bound relative to ||b||
+    # alone rejected these solves; their backward error stays below 0.16 eps
+    b = np.random.default_rng([0, n]).standard_normal(2**n - 1)
+    v = solve_classical(TridiagonalSystem(N=2**n), b)
+    assert np.linalg.norm(v - spectral_solve(n, b)) <= (
+        16 * poisson.condition_number(n) * poisson.EPS * np.linalg.norm(v))
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_guard_rejects_a_scaled_solution(n):
+    # (1 + 1e-9) v has backward error >= 18.7 eps over these seeds at n=12, but
+    # only 6.2 eps at n=13: above that it lies inside the problem's conditioning
+    system = TridiagonalSystem(N=2**n)
+    for seed in range(20):
+        b = np.random.default_rng([seed, n]).standard_normal(2**n - 1)
+        v = solve_classical(system, b)
+        with pytest.raises(RuntimeError, match="backward error .* > 8 eps"):
+            poisson._check_residual(system, (1 + 1e-9) * v, b)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_condition_number_is_the_eigenvalue_ratio(n):
+    N = 2**n
+    ratio = eigenvalue(n, N - 1) / eigenvalue(n, 1)
+    assert poisson.condition_number(n) == pytest.approx(ratio, rel=1e-13)
+
+
 @pytest.mark.parametrize("n", range(2, 13))
 def test_dst_is_an_involution(n):
     v = np.random.default_rng(n).standard_normal(2**n - 1)
