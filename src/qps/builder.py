@@ -37,7 +37,7 @@ import numpy as np
 
 from . import bounds, identities
 from .circuit import Circuit, Gate, QubitRegister, ResourceReport, count_resources
-from .poisson import TridiagonalSystem, solve_classical
+from .poisson import TridiagonalSystem, _as_vector, solve_classical
 from .simulator import StateVector, apply, extract_register, fidelity, inject_register, postselect
 
 SERIAL = "serial"
@@ -92,7 +92,7 @@ def standard_registers(n: int, parallel: bool = False) -> tuple[QubitRegister, .
 
 
 def bc_matrix(n: int) -> np.ndarray:
-    """Basis-conversion unitary: rows 1..N-1 are the eigenvectors, row 0 = e_0."""
+    """Basis-conversion orthogonal matrix: rows 1..N-1 are the eigenvectors, row 0 = e_0."""
     N = 2**n
     M = np.zeros((N, N))
     M[0, 0] = 1.0
@@ -238,13 +238,9 @@ def _register_amplitudes(n: int, b_hat: np.ndarray) -> np.ndarray:
 
 def solve(config: QpsConfig, b) -> QpsSolution:
     bounds.check(f"{config.mode} solve", config.n)
-    rhs = np.asarray(b, dtype=float)
-    if rhs.ndim != 1 or len(rhs) != 2**config.n - 1:
-        raise ValueError(
-            f"right-hand side must have length 2**n - 1 = {2**config.n - 1}"
-        )
-    if not np.all(np.isfinite(rhs)):
-        raise ValueError("right-hand side has a non-finite entry")
+    rhs = _as_vector(b)
+    if len(rhs) != 2**config.n - 1:
+        raise ValueError(f"right-hand side must have length 2**n - 1 = {2**config.n - 1}")
     peak = np.max(np.abs(rhs))
     if peak == 0.0:
         raise ValueError("zero right-hand side")
@@ -271,9 +267,9 @@ def solve(config: QpsConfig, b) -> QpsSolution:
     fixed[anc] = 1
     vec = extract_register(result.state, b_reg, fixed)
 
-    if abs(vec[0]) > 1e-10 or np.max(np.abs(vec.imag)) > 1e-10:
+    if abs(vec[0]) > 1e-10:
         raise RuntimeError("postselected register B is not a real solution direction")
-    solution = vec[1:].real.copy()
+    solution = vec[1:]
 
     reference = solve_classical(TridiagonalSystem(N=2**config.n), b_hat)
     reference = reference / np.linalg.norm(reference)

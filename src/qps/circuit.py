@@ -1,14 +1,14 @@
 """Gate-level circuit IR over named qubit registers.
 
-Gate kinds:
+Gate kinds, all real (a block matrix with a nonzero imaginary part is rejected):
   ry     -- real rotation, one or two targets (a two-target gate is the
             tensor pair RotY(theta) x RotY(theta) acting with equal angle);
             RotY(theta)|0> = cos(theta/2)|0> + sin(theta/2)|1>.
   x      -- Pauli X / NOT; with one control this is the elementary CNOT.
-  block  -- an opaque unitary over a target list (used for the basis
-            conversion), carrying a declared resource estimate instead of a
-            gate-level decomposition; matrix may be None for counting-only
-            circuits, in which case simulation rejects it.
+  block  -- an opaque orthogonal matrix over a target list (the basis
+            conversion), kept as a read-only float64 copy whose transpose is
+            its adjoint, with a declared resource estimate in place of gates;
+            matrix may be None for counting-only circuits (not simulable).
 
 Controls carry a polarity: positive fires on |1>, negative on |0>.  The
 cost table charges the same either way (negative controls are X-conjugated
@@ -26,6 +26,8 @@ from dataclasses import dataclass, replace
 from operator import itemgetter
 
 import numpy as np
+
+from .real import as_real
 
 UNITARY_TOL = 1e-12
 
@@ -82,22 +84,21 @@ class Gate:
                 raise ValueError("ry supports one or two targets")
         if self.kind == "x" and len(self.targets) != 1:
             raise ValueError("x acts on exactly one target")
-        if self.kind == "block":
-            if self.matrix is not None:
-                dim = 2 ** len(self.targets)
-                if self.matrix.shape != (dim, dim):
-                    raise ValueError(
-                        f"block matrix shape {self.matrix.shape} does not match "
-                        f"{len(self.targets)} targets"
-                    )
-                defect = np.max(
-                    np.abs(self.matrix.conj().T @ self.matrix - np.eye(dim))
+        if self.kind == "block" and self.matrix is not None:
+            m = np.array(as_real(self.matrix, "block matrix"))
+            dim = 2 ** len(self.targets)
+            if m.shape != (dim, dim):
+                raise ValueError(
+                    f"block matrix shape {m.shape} does not match {len(self.targets)} targets"
                 )
-                if defect > UNITARY_TOL:
-                    raise ValueError(f"block matrix not unitary: defect {defect:.3e}")
-                m = self.matrix.astype(complex)
-                m.flags.writeable = False
-                object.__setattr__(self, "matrix", m)
+            # m.T @ m - I in place, so the check holds one extra matrix
+            gram = m.T @ m
+            gram[np.diag_indices(dim)] -= 1.0
+            defect = np.abs(gram, out=gram).max()
+            if not defect <= UNITARY_TOL:
+                raise ValueError(f"block matrix not orthogonal: defect {defect:.3e}")
+            m.flags.writeable = False
+            object.__setattr__(self, "matrix", m)
 
     def __eq__(self, other):
         if not isinstance(other, Gate):
@@ -132,9 +133,7 @@ class Gate:
 
     @classmethod
     def block(cls, matrix, targets, label: str) -> "Gate":
-        return cls(kind="block", targets=tuple(targets),
-                   matrix=None if matrix is None else np.asarray(matrix, dtype=complex),
-                   label=label)
+        return cls(kind="block", targets=tuple(targets), matrix=matrix, label=label)
 
     @property
     def qubits(self) -> tuple[int, ...]:
@@ -145,7 +144,7 @@ class Gate:
             return replace(self, angle=-self.angle)
         if self.kind == "x":
             return self
-        matrix = None if self.matrix is None else self.matrix.conj().T
+        matrix = None if self.matrix is None else self.matrix.T
         label = self.label
         if label is not None:
             label = label[:-1] if label.endswith("†") else label + "†"
@@ -189,7 +188,7 @@ class Circuit:
         return self._by_name[name]
 
     def adjoint(self) -> "Circuit":
-        """The reversed, conjugated circuit; it carries no stages."""
+        """The reversed circuit of adjoint gates; it carries no stages."""
         return Circuit(self.registers, tuple(g.adjoint() for g in reversed(self.gates)))
 
     def __len__(self):

@@ -14,13 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .real import as_real
+
 EPS = float(np.finfo(float).eps)
 # backward-error bound of the Thomas solve; correct solves measured below 0.4 eps at n <= 20
 BACKWARD_TOL = 8 * EPS
 
 
 def _as_vector(b) -> np.ndarray:
-    v = np.asarray(b, dtype=float)
+    v = as_real(b, "right-hand side")
     if v.ndim != 1:
         raise ValueError("right-hand side must be a 1-D real vector")
     if not np.all(np.isfinite(v)):

@@ -6,12 +6,10 @@ offset o holding integer value v occupies flat indices with bits
 o..o+width-1 equal to v's binary digits.  When amplitudes are viewed as a
 rank-q tensor of shape (2,)*q, qubit t lives on axis q-1-t (C order).
 
-Amplitudes are float64 when every imaginary part is exactly 0 and
-complex128 otherwise (the narrowing is exact), so the solver's all-real
-circuits run on a real state: 16 MiB at n=7 (21 qubits).  Every gate is
-lowered to one small matrix over its targets and applied by one BLAS matmul
-on the control-indexed view; a complex block promotes a real state.  For a
-fixed BLAS thread count, identical inputs give bit-identical amplitudes.
+Every gate is real, so amplitudes are float64 (16 MiB at n=7, 21 qubits);
+an input with a nonzero imaginary part is rejected.  Each gate is lowered to
+one small matrix over its targets and applied by one BLAS matmul on the
+control-indexed view, bit-identically for a fixed BLAS thread count.
 """
 
 from __future__ import annotations
@@ -22,34 +20,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit, Gate, QubitRegister
+from .real import as_real
 
 NORM_TOL = 1e-12
 POSTSELECT_FLOOR = 1e-12
 RESIDUAL_TOL = 1e-10
 
 
-def _narrow(values) -> np.ndarray:
-    """float64 if every imaginary part is exactly 0, else complex128; exact."""
-    arr = np.asarray(values)
-    if np.iscomplexobj(arr) and arr.imag.any():
-        return arr.astype(complex, copy=False)
-    return arr.real.astype(float, copy=False)
-
-
 @dataclass(frozen=True)
 class StateVector:
     """A normalized state that owns its amplitude array.
 
-    A contiguous array of the narrowed dtype is stored as it is and made
-    read-only in place, so the caller must not write to it afterwards; any
-    other input is converted into a new array.
+    A contiguous float64 array is stored as it is and made read-only in
+    place, so the caller must not write to it afterwards; any other input is
+    converted into a new array.
     """
 
     num_qubits: int
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.ascontiguousarray(_narrow(self.amplitudes))
+        amps = np.ascontiguousarray(as_real(self.amplitudes, "amplitudes"))
         if amps.shape != (2**self.num_qubits,):
             raise ValueError(
                 f"amplitude vector must have length 2**{self.num_qubits}"
@@ -99,11 +90,12 @@ def _gate_matrix(gate: Gate) -> np.ndarray:
             raise ValueError(
                 f"block gate {gate.label!r} has no matrix; counting-only circuit"
             )
-        return _narrow(gate.matrix)
+        return gate.matrix
     raise ValueError(f"unknown gate kind {gate.kind!r}")
 
 
-def _apply_gate(tensor: np.ndarray, num_qubits: int, gate: Gate, matrix: np.ndarray):
+def _apply_gate(tensor: np.ndarray, num_qubits: int, gate: Gate):
+    matrix = _gate_matrix(gate)
     # target axes most significant first, so that the C-order flattening of
     # the moved block matches the register-value indexing of the matrix;
     # the control axes follow and are indexed away
@@ -119,18 +111,16 @@ def apply(state: StateVector, circuit: Circuit) -> StateVector:
         raise ValueError(
             f"circuit acts on {circuit.num_qubits} qubits, state has {state.num_qubits}"
         )
-    matrices = [_gate_matrix(gate) for gate in circuit.gates]
-    dtype = np.result_type(state.amplitudes, *{m.dtype for m in matrices})
-    amps = state.amplitudes.astype(dtype)
+    amps = state.amplitudes.copy()
     tensor = amps.reshape((2,) * state.num_qubits)
-    for gate, matrix in zip(circuit.gates, matrices):
-        _apply_gate(tensor, state.num_qubits, gate, matrix)
+    for gate in circuit.gates:
+        _apply_gate(tensor, state.num_qubits, gate)
     return StateVector(state.num_qubits, amps)
 
 
 def inject_register(state: StateVector, register: QubitRegister, amplitudes) -> StateVector:
     """Load a superposition into a register that currently sits in |0...0>."""
-    target = _narrow(amplitudes)
+    target = as_real(amplitudes, "amplitudes")
     if target.shape != (2**register.width,):
         raise ValueError(
             f"need 2**{register.width} amplitudes for register {register.name!r}"
@@ -158,7 +148,7 @@ def postselect(state: StateVector, qubits, outcome) -> PostselectResult:
     idx = _select(q, zip(qubits, outcome))
     tensor = state.tensor()
     sub = tensor[idx]
-    probability = float(np.vdot(sub, sub).real)
+    probability = float(np.vdot(sub, sub))
     if not probability >= POSTSELECT_FLOOR:
         raise RuntimeError(
             f"postselection impossible: outcome probability {probability:.3e} "
@@ -193,7 +183,7 @@ def extract_register(state: StateVector, register: QubitRegister, fixed) -> np.n
     # remaining axes are the register's qubits in descending order, so the
     # C-order flattening is already indexed by register value
     vec = sub.reshape(-1)
-    mass = float(np.vdot(vec, vec).real)
+    mass = float(np.vdot(vec, vec))
     if not 1.0 - mass <= RESIDUAL_TOL:
         raise RuntimeError(
             f"state does not factorize: residual mass {1.0 - mass:.3e} outside "
@@ -204,6 +194,7 @@ def extract_register(state: StateVector, register: QubitRegister, fixed) -> np.n
 
 def fidelity(a, b) -> float:
     """|<a, b>|^2 for equal-length normalized vectors."""
+    # a complex vdot: a real one rounds solve's fidelity differently in the last bit
     va = np.asarray(a, dtype=complex)
     vb = np.asarray(b, dtype=complex)
     if va.shape != vb.shape:

@@ -57,7 +57,7 @@ def dense_branch_amplitudes(circ: Circuit) -> np.ndarray:
         state = simulator.inject_register(
             simulator.StateVector.ground(circ.num_qubits), breg, amps)
         out = simulator.apply(state, circ).amplitudes
-        branch[start:start + size] = out[ones + start:ones + start + size].real / weight
+        branch[start:start + size] = out[ones + start:ones + start + size] / weight
     return branch
 
 

@@ -21,7 +21,14 @@ from qps.builder import (
 )
 from qps.circuit import Circuit, count_resources
 from qps.identities import inversion_angles
-from qps.poisson import TridiagonalSystem, eigenpair, eigenvalue, solve_classical
+from qps.poisson import (
+    TridiagonalSystem,
+    eigenpair,
+    eigenvalue,
+    preset_rhs,
+    solve_classical,
+    spectral_solve,
+)
 from qps.simulator import (
     StateVector,
     apply,
@@ -267,6 +274,29 @@ def test_solve_rejects_bad_input():
         solve(QpsConfig(n=2), np.zeros(3))
     with pytest.raises(ValueError):
         solve(QpsConfig(n=2), np.ones(4))
+    with pytest.raises(ValueError, match="^right-hand side must be a 1-D real vector$"):
+        solve(QpsConfig(n=2), np.ones((3, 1)))
+
+
+def _bits(out):
+    if isinstance(out, np.ndarray):
+        return out.tobytes()
+    return (out.solution.tobytes(), out.classical_reference.tobytes(),
+            out.fidelity.hex(), out.success_probability.hex())
+
+
+@pytest.mark.parametrize("oracle", [
+    lambda b: solve(QpsConfig(n=2), b),
+    lambda b: solve_classical(TridiagonalSystem(N=4), b),
+    lambda b: spectral_solve(2, b),
+], ids=["solve", "solve_classical", "spectral_solve"])
+def test_complex_rhs_rejected_unless_imaginary_part_is_zero(oracle):
+    b = np.array([1.0, 0.5, 0.5])
+    for imag in (1j, 1e-300j):
+        with pytest.raises(ValueError,
+                           match="^right-hand side must be real, got a nonzero imaginary part$"):
+            oracle(b + imag * np.array([1, 0, 0]))
+    assert _bits(oracle(b.astype(complex))) == _bits(oracle(b))
 
 
 def test_config_validation():
@@ -430,3 +460,35 @@ def test_bc_stays_counting_only_past_the_solve_row(monkeypatch):
     bc, bcdag = _stage_gate(circuit, "bc"), _stage_gate(circuit, "bcdag")
     assert bc.label == "BC" and bc.matrix is None
     assert bcdag.label == "BC†" and bcdag.matrix is None
+
+
+# SHA-256 of the solution, reference, fidelity and P_success bits of library
+# solve on seeded Gaussian, sin and 1e300 x Gaussian b, serial n=2..6 and
+# parallel n=3..5 in both constructions: 48 solves.  The fidelity bits pin its
+# complex inner product, which a real one would round differently.
+SOLVE_FINGERPRINT = "b913a6c22d35893c583f70acb8b9b7c406bdea2a7080db2c51debb58b567041c"
+
+
+def test_solve_output_fingerprint_unchanged():
+    digest = hashlib.sha256()
+    for ry in ("bitwise", "semantic"):
+        for mode, ns in (("serial", range(2, 7)), ("parallel", range(3, 6))):
+            for n in ns:
+                gauss = np.random.default_rng([11, n]).standard_normal(2**n - 1)
+                for b in (gauss, preset_rhs("sin", n), 1e300 * gauss):
+                    solution, reference, fid, prob = _bits(solve(QpsConfig(n, mode, ry), b))
+                    digest.update(solution + reference + f"{fid} {prob}".encode())
+    assert digest.hexdigest() == SOLVE_FINGERPRINT
+
+
+def test_bc_block_is_a_lean_real_matrix():
+    tracemalloc.start()
+    try:
+        bc = build_bc(10)
+        bcdag = bc.adjoint()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20  # 64 MiB while blocks were stored as complex128
+    assert bc.matrix.dtype == np.float64 and not bc.matrix.flags.writeable
+    assert np.array_equal(bcdag.matrix, bc.matrix.T)

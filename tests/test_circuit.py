@@ -9,10 +9,9 @@ from qps.circuit import Circuit, Gate, QubitRegister, count_resources, gate_cost
 REGS = (QubitRegister("A", 2, 0), QubitRegister("B", 2, 2))
 
 
-def _random_unitary(dim, rng):
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+def _random_orthogonal(dim, rng):
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    return q
 
 
 def test_gate_validation():
@@ -38,6 +37,29 @@ def test_block_unitarity_enforced():
         Gate.block(np.eye(4) * 1.001, (0, 1), label="bad")
     good = Gate.block(np.eye(4), (0, 1), label="id")
     assert good.matrix.shape == (4, 4)
+    with pytest.raises(ValueError, match="^block matrix not orthogonal: defect nan$"):
+        Gate.block(np.full((2, 2), np.nan), (0,), label="nan")
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_block_is_an_owned_read_only_real_copy(dtype):
+    q = _random_orthogonal(4, np.random.default_rng(1))
+    source = q.astype(dtype)
+    g = Gate.block(source, (0, 1), label="Q")
+    source[0, 0] = 2.0
+    assert g.matrix.dtype == np.float64 and not g.matrix.flags.writeable
+    assert np.array_equal(g.matrix, q)
+    assert np.array_equal(g.adjoint().matrix, q.T)
+
+
+@pytest.mark.parametrize("imag", [1j, 1e-300j, complex(0, np.nan)])
+def test_block_with_nonzero_imaginary_part_rejected(imag):
+    matrix = np.eye(2) + imag * np.array([[0, 1], [0, 0]])
+    message = "^block matrix must be real, got a nonzero imaginary part$"
+    with pytest.raises(ValueError, match=message):
+        Gate.block(matrix, (0,), label="S")
+    with pytest.raises(ValueError, match=message):
+        Gate(kind="block", targets=(0,), matrix=matrix, label="S")
 
 
 def test_register_tiling_enforced():
@@ -72,7 +94,7 @@ def test_adjoint_is_involution_gate_for_gate():
     c = Circuit(REGS, [
         Gate.ry(0.7, 0, controls=((2, False),)),
         Gate.x(1, controls=((3, True),)),
-        Gate.block(_random_unitary(4, rng), (1, 2), label="U"),
+        Gate.block(_random_orthogonal(4, rng), (1, 2), label="U"),
         Gate.ry(-0.2, (2, 3)),
     ])
     back = c.adjoint().adjoint()

@@ -21,14 +21,13 @@ A, B = REGS
 
 
 def _state(amps):
-    amps = np.asarray(amps, dtype=complex)
+    amps = np.asarray(amps, dtype=float)
     return StateVector(int(np.log2(len(amps))), amps / np.linalg.norm(amps))
 
 
-def _random_unitary(dim, rng):
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+def _random_orthogonal(dim, rng):
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    return q
 
 
 def test_statevector_normalization_enforced():
@@ -37,8 +36,7 @@ def test_statevector_normalization_enforced():
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(np.nan, 0),
-                                 complex(0, np.inf)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_amplitudes_rejected(bad):
     with pytest.raises(ValueError):
         StateVector(1, np.array([bad, 0]))
@@ -57,20 +55,25 @@ def test_statevector_owns_the_array_it_is_handed():
 
 def test_amplitude_dtypes():
     assert StateVector.ground(3).amplitudes.dtype == np.float64
-    narrowed = StateVector(1, np.array([0.6 + 0j, 0.8 + 0j]))
-    assert narrowed.amplitudes.dtype == np.float64
-    assert np.array_equal(narrowed.amplitudes, [0.6, 0.8])
-    assert StateVector(1, np.array([0.6, 0.8j])).amplitudes.dtype == np.complex128
-    assert inject_register(StateVector.ground(4), A, [0, 1j, 0, 0]).amplitudes.dtype \
-        == np.complex128
+    converted = StateVector(1, np.array([0.6 + 0j, 0.8 + 0j]))
+    assert converted.amplitudes.dtype == np.float64
+    assert np.array_equal(converted.amplitudes, [0.6, 0.8])
+    injected = inject_register(StateVector.ground(4), A, np.array([0, 1 + 0j, 0, 0]))
+    assert injected.amplitudes.dtype == np.float64
 
     real = Circuit(REGS, [Gate.ry(0.3, (0, 1), ((2, False),)), Gate.x(3),
                           Gate.block(np.array([[0, 1], [1, 0]]), (2,), label="X")])
     assert apply(StateVector.ground(4), real).amplitudes.dtype == np.float64
-    phase = Circuit(REGS, [Gate.block(np.diag([1, 1j]), (0,), label="S")])
-    out = apply(_state([1, 1] + [0] * 14), phase)
-    assert out.amplitudes.dtype == np.complex128
-    assert out.amplitudes[1] == pytest.approx(1j * 2**-0.5)
+
+
+@pytest.mark.parametrize("amps", [[0.6, 0.8j], [0.6 + 1e-300j, 0.8], [0.6, complex(0.8, np.nan)],
+                                  [complex(0, np.inf), 0]])
+def test_nonzero_imaginary_amplitudes_rejected(amps):
+    message = "^amplitudes must be real, got a nonzero imaginary part$"
+    with pytest.raises(ValueError, match=message):
+        StateVector(1, np.array(amps))
+    with pytest.raises(ValueError, match=message):
+        inject_register(StateVector.ground(4), A, amps + [0, 0])
 
 
 def test_fused_ry_pair_equals_two_single_rotations():
@@ -122,7 +125,7 @@ def _random_circuits(draw):
     q = draw(st.integers(1, 5))
     gates = []
     for _ in range(draw(st.integers(0, 8))):
-        kind = draw(st.sampled_from(["ry", "x", "real block", "complex block"]))
+        kind = draw(st.sampled_from(["ry", "x", "block"]))
         width = 1 if kind == "x" else draw(st.integers(1, min(2, q)))
         order = draw(st.permutations(range(q)))
         targets = tuple(order[:width])
@@ -134,32 +137,23 @@ def _random_circuits(draw):
         elif kind == "x":
             gates.append(Gate.x(targets[0], controls))
         else:
-            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-            if kind == "real block":
-                matrix, _ = np.linalg.qr(rng.standard_normal((2**width,) * 2))
-            else:
-                matrix = _random_unitary(2**width, rng)
+            matrix = _random_orthogonal(2**width, np.random.default_rng(
+                draw(st.integers(0, 2**32 - 1))))
             gates.append(Gate(kind="block", targets=targets, controls=controls,
                               matrix=matrix, label=kind))
     return Circuit((QubitRegister("q", q, 0),), gates)
 
 
 @settings(max_examples=150, deadline=None)
-@given(circuit=_random_circuits(), seed=st.integers(0, 2**32 - 1),
-       complex_state=st.booleans())
-def test_apply_matches_kron_oracle(circuit, seed, complex_state):
-    rng = np.random.default_rng(seed)
-    dim = 2**circuit.num_qubits
-    psi = rng.standard_normal(dim) + (1j * rng.standard_normal(dim) if complex_state else 0)
-    state = _state(psi)
+@given(circuit=_random_circuits(), seed=st.integers(0, 2**32 - 1))
+def test_apply_matches_kron_oracle(circuit, seed):
+    state = _state(np.random.default_rng(seed).standard_normal(2**circuit.num_qubits))
     expected = state.amplitudes
     for gate in circuit.gates:
         expected = _oracle_operator(circuit.num_qubits, gate) @ expected
     out = apply(state, circuit)
     assert np.max(np.abs(out.amplitudes - expected), initial=0.0) <= 1e-12
-    real = not complex_state and all(
-        g.matrix is None or not g.matrix.imag.any() for g in circuit.gates)
-    assert out.amplitudes.dtype == (np.float64 if real else np.complex128)
+    assert out.amplitudes.dtype == np.float64
 
 
 def test_x_flips_qubit():
@@ -197,15 +191,14 @@ def test_controlled_and_negative_controls():
 
 def test_block_application_matches_dense_oracle():
     rng = np.random.default_rng(11)
-    U = _random_unitary(4, rng)
+    U = _random_orthogonal(4, rng)
     regs = (QubitRegister("q", 3, 0),)
-    psi = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    state = _state(psi)
+    state = _state(rng.standard_normal(8))
     # block on qubits (0, 2): oracle via explicit kron with qubit-1 identity,
     # basis index bits (q2 q1 q0)
     circ = Circuit(regs, [Gate.block(U, (0, 2), label="U")])
     out = apply(state, circ)
-    full = np.zeros((8, 8), dtype=complex)
+    full = np.zeros((8, 8))
     for row in range(8):
         for col in range(8):
             if (row >> 1) & 1 != (col >> 1) & 1:
@@ -231,12 +224,10 @@ def test_inject_basis_state_and_round_trip():
     state = inject_register(StateVector.ground(4), A, [0, 0, 1, 0])
     assert state.amplitudes[2] == 1.0
     rng = np.random.default_rng(5)
-    amps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    amps = rng.standard_normal(4)
     state = inject_register(StateVector.ground(4), B, amps)
     vec = extract_register(state, B, {A: 0})
-    expected = amps / np.linalg.norm(amps)
-    phase = np.vdot(expected, vec)
-    assert np.allclose(vec, expected * phase / abs(phase), atol=1e-12)
+    assert np.allclose(vec, amps / np.linalg.norm(amps), atol=1e-12)
 
 
 def test_inject_demo_state():
@@ -270,8 +261,7 @@ def test_apply_then_adjoint_restores_state():
             else:
                 gates.append(Gate.x(int(qubits[1]), controls=((int(qubits[0]), True),)))
         circ = Circuit(regs, gates)
-        psi = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        state = _state(psi)
+        state = _state(rng.standard_normal(16))
         back = apply(apply(state, circ), circ.adjoint())
         assert fidelity(back.amplitudes, state.amplitudes) >= 1 - 1e-10
 
@@ -317,7 +307,7 @@ def test_postselect_plus_state():
 
 def test_postselect_complement_probabilities_sum_to_one():
     rng = np.random.default_rng(23)
-    state = _state(rng.standard_normal(8) + 1j * rng.standard_normal(8))
+    state = _state(rng.standard_normal(8))
     p1 = postselect(state, [1], [1]).probability
     p0 = postselect(state, [1], [0]).probability
     assert p0 + p1 == pytest.approx(1.0, abs=1e-12)
@@ -330,18 +320,16 @@ def test_postselect_impossible_outcome():
 
 def test_extract_product_state_exact():
     rng = np.random.default_rng(29)
-    a = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    a = rng.standard_normal(4)
     state = inject_register(StateVector.ground(4), A, a)
     state = inject_register(state, B, [0, 0, 0, 1])
     vec = extract_register(state, A, {B: 3})
-    expected = a / np.linalg.norm(a)
-    phase = np.vdot(expected, vec)
-    assert np.allclose(vec, expected * phase / abs(phase), atol=1e-12)
+    assert np.allclose(vec, a / np.linalg.norm(a), atol=1e-12)
 
 
 def test_extract_rejects_entangled_state():
     # Bell state across the two registers
-    amps = np.zeros(16, dtype=complex)
+    amps = np.zeros(16)
     amps[0b0000] = 2**-0.5
     amps[0b0101] = 2**-0.5
     state = StateVector(4, amps)
