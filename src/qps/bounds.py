@@ -2,8 +2,9 @@
 
 A key names the entry point (and mode) and is the subject of the error.
 - serial / parallel solve: library `builder.solve`; a dense state of at most
-  2**24 amplitudes (128 MiB as float64).  With one BLAS thread, serial n=7
-  takes 0.51 s / 85 MB, n=8 11.6 s / 440 MB, and parallel n=6 0.9 s / 131 MB.
+  2**24 amplitudes (128 MiB as float64).  With one BLAS thread on a 2-core
+  x86-64 box, serial n=7 takes 0.23 s / 76 MB, n=8 5.2 s / 373 MB, and
+  parallel n=6 0.45 s / 131 MB (solve wall time / process peak RSS).
 - serial / parallel simulation: `qps solve`, `qps verify --n-max` and its
   construction-equivalence sweep; interactive sizes.
 - report: construction and counting only, up to the paper's n=15.

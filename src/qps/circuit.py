@@ -6,8 +6,9 @@ Gate kinds, all real (a block matrix with a nonzero imaginary part is rejected):
             RotY(theta)|0> = cos(theta/2)|0> + sin(theta/2)|1>.
   x      -- Pauli X / NOT; with one control this is the elementary CNOT.
   block  -- an opaque orthogonal matrix over a target list (the basis
-            conversion), kept as a read-only float64 copy whose transpose is
-            its adjoint, with a declared resource estimate in place of gates;
+            conversion), kept as a read-only float64 copy of the caller's
+            array; its adjoint holds the transposed view of that copy, not a
+            second copy; a declared resource estimate stands in for gates;
             matrix may be None for counting-only circuits (not simulable).
 
 Controls carry a polarity: positive fires on |1>, negative on |0>.  The
@@ -56,6 +57,15 @@ class QubitRegister:
         return self.offset + i
 
 
+def _check_orthogonal(m: np.ndarray) -> None:
+    # m.T @ m - I in place, so the check holds one extra matrix
+    gram = m.T @ m
+    gram[np.diag_indices(len(m))] -= 1.0
+    defect = np.abs(gram, out=gram).max()
+    if not defect <= UNITARY_TOL:
+        raise ValueError(f"block matrix not orthogonal: defect {defect:.3e}")
+
+
 @dataclass(frozen=True, eq=False, slots=True)
 class Gate:
     kind: str
@@ -91,12 +101,7 @@ class Gate:
                 raise ValueError(
                     f"block matrix shape {m.shape} does not match {len(self.targets)} targets"
                 )
-            # m.T @ m - I in place, so the check holds one extra matrix
-            gram = m.T @ m
-            gram[np.diag_indices(dim)] -= 1.0
-            defect = np.abs(gram, out=gram).max()
-            if not defect <= UNITARY_TOL:
-                raise ValueError(f"block matrix not orthogonal: defect {defect:.3e}")
+            _check_orthogonal(m)
             m.flags.writeable = False
             object.__setattr__(self, "matrix", m)
 
@@ -144,12 +149,16 @@ class Gate:
             return replace(self, angle=-self.angle)
         if self.kind == "x":
             return self
-        matrix = None if self.matrix is None else self.matrix.T
         label = self.label
         if label is not None:
             label = label[:-1] if label.endswith("†") else label + "†"
-        return Gate(kind="block", targets=self.targets, controls=self.controls,
-                    matrix=matrix, label=label)
+        adjoint = Gate(kind="block", targets=self.targets, controls=self.controls,
+                       label=label)
+        if self.matrix is not None:
+            # the read-only transposed view of this gate's own matrix, not a copy
+            _check_orthogonal(self.matrix.T)
+            object.__setattr__(adjoint, "matrix", self.matrix.T)
+        return adjoint
 
 
 class Circuit:

@@ -10,6 +10,12 @@ Every gate is real, so amplitudes are float64 (16 MiB at n=7, 21 qubits);
 an input with a nonzero imaginary part is rejected.  Each gate is lowered to
 one small matrix over its targets and applied by one BLAS matmul on the
 control-indexed view, bit-identically for a fixed BLAS thread count.
+
+`apply` first indexes away every idle qubit, one that no gate targets or
+controls, whose input holds one basis value (the other half of its
+amplitudes is exactly zero, with no tolerance).  The gates run on the
+remaining view of the same array, so a solve's BCaux ancilla halves the
+work, and the zero half comes back untouched in the full 2**q output.
 """
 
 from __future__ import annotations
@@ -94,13 +100,13 @@ def _gate_matrix(gate: Gate) -> np.ndarray:
     raise ValueError(f"unknown gate kind {gate.kind!r}")
 
 
-def _apply_gate(tensor: np.ndarray, num_qubits: int, gate: Gate):
+def _apply_gate(tensor: np.ndarray, axis: dict[int, int], gate: Gate):
     matrix = _gate_matrix(gate)
     # target axes most significant first, so that the C-order flattening of
     # the moved block matches the register-value indexing of the matrix;
     # the control axes follow and are indexed away
     qubits = [*reversed(gate.targets), *(q for q, _ in gate.controls)]
-    moved = np.moveaxis(tensor, [num_qubits - 1 - q for q in qubits], range(len(qubits)))
+    moved = np.moveaxis(tensor, [axis[q] for q in qubits], range(len(qubits)))
     sub = moved[(slice(None),) * len(gate.targets) + tuple(int(p) for _, p in gate.controls)]
     flat = sub.reshape(len(matrix), -1)
     sub[...] = (matrix @ flat).reshape(sub.shape)
@@ -111,11 +117,24 @@ def apply(state: StateVector, circuit: Circuit) -> StateVector:
         raise ValueError(
             f"circuit acts on {circuit.num_qubits} qubits, state has {state.num_qubits}"
         )
+    q = state.num_qubits
     amps = state.amplitudes.copy()
-    tensor = amps.reshape((2,) * state.num_qubits)
+    tensor = amps.reshape((2,) * q)
+    # index away each idle qubit whose other half is exactly zero
+    touched = {t for gate in circuit.gates for t in gate.qubits}
+    fixed = {}
+    for t in range(q):
+        if t not in touched:
+            for bit in (False, True):
+                if not tensor[_select(q, [*fixed.items(), (t, not bit)])].any():
+                    fixed[t] = bit
+                    break
+    kept = [t for t in reversed(range(q)) if t not in fixed]
+    view = tensor[_select(q, fixed.items())]
+    axis = {t: a for a, t in enumerate(kept)}
     for gate in circuit.gates:
-        _apply_gate(tensor, state.num_qubits, gate)
-    return StateVector(state.num_qubits, amps)
+        _apply_gate(view, axis, gate)
+    return StateVector(q, amps)
 
 
 def inject_register(state: StateVector, register: QubitRegister, amplitudes) -> StateVector:

@@ -481,6 +481,22 @@ def test_solve_output_fingerprint_unchanged():
     assert digest.hexdigest() == SOLVE_FINGERPRINT
 
 
+# SHA-256 of the same bits for the benchmark's solve sizes: serial n=7 and
+# parallel n=6 in both constructions on seeded Gaussian b.  The digest was
+# computed on the tree before `apply` learned to skip idle qubits.
+SOLVE_N7_FINGERPRINT = "b2b59fa651a1c0c825107663ca155e421d4e94cd5f43cf3e207f2ffc111c8f6f"
+
+
+def test_solve_n7_fingerprint_unchanged():
+    digest = hashlib.sha256()
+    for ry in ("bitwise", "semantic"):
+        for mode, n in (("serial", 7), ("parallel", 6)):
+            b = np.random.default_rng([11, n]).standard_normal(2**n - 1)
+            solution, reference, fid, prob = _bits(solve(QpsConfig(n, mode, ry), b))
+            digest.update(solution + reference + f"{fid} {prob}".encode())
+    assert digest.hexdigest() == SOLVE_N7_FINGERPRINT
+
+
 def test_bc_block_is_a_lean_real_matrix():
     tracemalloc.start()
     try:

@@ -52,6 +52,18 @@ def test_block_is_an_owned_read_only_real_copy(dtype):
     assert np.array_equal(g.adjoint().matrix, q.T)
 
 
+def test_block_adjoint_is_a_read_only_view_but_caller_arrays_are_copied():
+    q = _random_orthogonal(4, np.random.default_rng(2))
+    q.flags.writeable = False
+    g = Gate.block(q, (0, 1), label="Q")
+    assert not np.shares_memory(g.matrix, q)
+    adjoint = g.adjoint()
+    assert np.shares_memory(adjoint.matrix, g.matrix)
+    assert not adjoint.matrix.flags.writeable
+    assert adjoint.label == "Q†" and np.array_equal(adjoint.matrix, q.T)
+    assert adjoint.adjoint() == g
+
+
 @pytest.mark.parametrize("imag", [1j, 1e-300j, complex(0, np.nan)])
 def test_block_with_nonzero_imaginary_part_rejected(imag):
     matrix = np.eye(2) + imag * np.array([[0, 1], [0, 0]])

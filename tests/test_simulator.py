@@ -1,11 +1,15 @@
 import functools
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qps import simulator
+from qps.builder import QpsConfig, build_qps
 from qps.circuit import Circuit, Gate, QubitRegister
 from qps.simulator import (
     StateVector,
@@ -144,16 +148,106 @@ def _random_circuits(draw):
     return Circuit((QubitRegister("q", q, 0),), gates)
 
 
+def _oracle_apply(state: StateVector, circuit: Circuit) -> np.ndarray:
+    expected = state.amplitudes
+    for gate in circuit.gates:
+        expected = _oracle_operator(circuit.num_qubits, gate) @ expected
+    return expected
+
+
 @settings(max_examples=150, deadline=None)
 @given(circuit=_random_circuits(), seed=st.integers(0, 2**32 - 1))
 def test_apply_matches_kron_oracle(circuit, seed):
     state = _state(np.random.default_rng(seed).standard_normal(2**circuit.num_qubits))
-    expected = state.amplitudes
-    for gate in circuit.gates:
-        expected = _oracle_operator(circuit.num_qubits, gate) @ expected
     out = apply(state, circuit)
-    assert np.max(np.abs(out.amplitudes - expected), initial=0.0) <= 1e-12
+    assert np.max(np.abs(out.amplitudes - _oracle_apply(state, circuit)), initial=0.0) <= 1e-12
     assert out.amplitudes.dtype == np.float64
+
+
+@settings(max_examples=150, deadline=None)
+@given(circuit=_random_circuits(), extra=st.integers(0, 3), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_apply_with_idle_qubits_matches_kron_oracle(circuit, extra, seed, data):
+    # widen the circuit by `extra` qubits and shuffle the qubit labels, so
+    # idle qubits sit at any position
+    q = circuit.num_qubits + extra
+    label = data.draw(st.permutations(range(q)))
+    gates = [replace(g, targets=tuple(label[t] for t in g.targets),
+                     controls=tuple((label[c], p) for c, p in g.controls))
+             for g in circuit.gates]
+    wide = Circuit((QubitRegister("q", q, 0),), gates)
+    rng = np.random.default_rng(seed)
+    amps = rng.standard_normal((2,) * q)
+    # every idle qubit holds |0>, |1> or a random superposition in a product
+    # state; so may a touched one, which must not be skipped
+    idle = set(range(q)) - {t for g in gates for t in g.qubits}
+    for t in range(q):
+        pick = data.draw(st.sampled_from(["0", "1", "mix"] if t in idle else
+                                         ["0", "1", "mix", "entangled"]))
+        if pick == "entangled":
+            continue
+        factor = {"0": [1.0, 0.0], "1": [0.0, 1.0], "mix": rng.standard_normal(2)}[pick]
+        shape = [1] * q
+        shape[q - 1 - t] = 2
+        amps = np.take(amps, [0], axis=q - 1 - t) * np.reshape(factor, shape)
+    state = _state(amps.reshape(-1))
+    out = apply(state, wide)
+    assert np.max(np.abs(out.amplitudes - _oracle_apply(state, wide)), initial=0.0) <= 1e-12
+
+
+def test_idle_qubit_with_a_tiny_amplitude_is_not_skipped():
+    # qubit 2 is idle; its |1> half holds one 1e-300 amplitude, which X on
+    # qubit 0 must move like every other amplitude
+    amps = np.zeros(8)
+    amps[0b000] = 1.0
+    amps[0b100] = 1e-300
+    state = StateVector(3, amps)
+    circuit = Circuit((QubitRegister("q", 3, 0),), [Gate.x(0), Gate.ry(0.7, 1, ((0, True),))])
+    out = apply(state, circuit)
+    expected = _oracle_apply(state, circuit)
+    assert np.max(np.abs(out.amplitudes - expected)) <= 1e-12
+    assert np.array_equal(out.amplitudes[0b100:], expected[0b100:])
+    assert out.amplitudes[0b101] == 1e-300 * math.cos(0.35)
+
+
+@pytest.mark.parametrize("idle_bit", [0, 1])
+def test_skipped_half_of_an_idle_qubit_stays_exactly_zero(idle_bit, monkeypatch):
+    sizes = []
+    apply_gate = simulator._apply_gate
+
+    def recording(tensor, axis, gate):
+        sizes.append(tensor.size)
+        apply_gate(tensor, axis, gate)
+
+    monkeypatch.setattr(simulator, "_apply_gate", recording)
+    rng = np.random.default_rng(31)
+    half = rng.standard_normal(8)
+    amps = np.zeros(16)
+    amps[8 * idle_bit:8 * idle_bit + 8] = half  # qubit 3 holds |idle_bit>
+    state = _state(amps)
+    circuit = Circuit((QubitRegister("q", 4, 0),),
+                      [Gate.ry(0.4, (0, 1), ((2, False),)), Gate.x(2, ((0, True),)),
+                       Gate.block(_random_orthogonal(4, rng), (1, 2), label="U")])
+    out = apply(state, circuit)
+    other = out.amplitudes[8 * (1 - idle_bit):8 * (1 - idle_bit) + 8]
+    assert not other.any()
+    assert sizes == [8, 8, 8]  # every gate ran on the half that holds amplitude
+    assert np.max(np.abs(out.amplitudes - _oracle_apply(state, circuit))) <= 1e-12
+
+
+def test_apply_peak_memory_on_a_solve_circuit():
+    circuit = build_qps(QpsConfig(n=6))
+    b = np.random.default_rng(3).standard_normal(2**6)
+    b[0] = 0.0
+    state = inject_register(StateVector.ground(circuit.num_qubits), circuit.register("B"), b)
+    tracemalloc.start()
+    try:
+        apply(state, circuit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a 2 MiB state; 4.03 MiB while the all-zero BCaux half went through every gate
+    assert peak < 3.5 * 2**20
 
 
 def test_x_flips_qubit():
