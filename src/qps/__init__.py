@@ -27,7 +27,6 @@ from .identities import (
 )
 from .poisson import (
     TridiagonalSystem,
-    eigenpair,
     eigenvalue,
     solve_classical,
     spectral_solve,

@@ -7,9 +7,10 @@ Gate kinds, all real (a block matrix with a nonzero imaginary part is rejected):
   x      -- Pauli X / NOT; with one control this is the elementary CNOT.
   block  -- an opaque orthogonal matrix over a target list (the basis
             conversion), kept as a read-only float64 copy of the caller's
-            array; its adjoint holds the transposed view of that copy, not a
-            second copy; a declared resource estimate stands in for gates;
-            matrix may be None for counting-only circuits (not simulable).
+            array and checked for orthogonality once, when built; its adjoint
+            holds the transposed view of that copy, which is orthogonal too,
+            so it is not re-checked; a declared resource estimate stands in for
+            gates; matrix may be None for counting-only circuits (not simulable).
 
 Controls carry a polarity: positive fires on |1>, negative on |0>.  The
 cost table charges the same either way (negative controls are X-conjugated
@@ -105,26 +106,6 @@ class Gate:
             m.flags.writeable = False
             object.__setattr__(self, "matrix", m)
 
-    def __eq__(self, other):
-        if not isinstance(other, Gate):
-            return NotImplemented
-        if (self.kind, self.targets, self.controls, self.label) != (
-            other.kind,
-            other.targets,
-            other.controls,
-            other.label,
-        ):
-            return False
-        if (self.angle is None) != (other.angle is None):
-            return False
-        if self.angle is not None and self.angle != other.angle:
-            return False
-        if (self.matrix is None) != (other.matrix is None):
-            return False
-        if self.matrix is not None and not np.array_equal(self.matrix, other.matrix):
-            return False
-        return True
-
     @classmethod
     def ry(cls, angle: float, targets, controls=()) -> "Gate":
         if isinstance(targets, int):
@@ -152,12 +133,10 @@ class Gate:
         label = self.label
         if label is not None:
             label = label[:-1] if label.endswith("†") else label + "†"
-        adjoint = Gate(kind="block", targets=self.targets, controls=self.controls,
-                       label=label)
-        if self.matrix is not None:
-            # the read-only transposed view of this gate's own matrix, not a copy
-            _check_orthogonal(self.matrix.T)
-            object.__setattr__(adjoint, "matrix", self.matrix.T)
+        adjoint = Gate(kind="block", targets=self.targets, controls=self.controls, label=label)
+        # the read-only transposed view of this gate's own checked matrix, the
+        # inverse of an orthogonal matrix: neither copied nor re-checked
+        object.__setattr__(adjoint, "matrix", None if self.matrix is None else self.matrix.T)
         return adjoint
 
 
@@ -195,16 +174,6 @@ class Circuit:
 
     def register(self, name: str) -> QubitRegister:
         return self._by_name[name]
-
-    def adjoint(self) -> "Circuit":
-        """The reversed circuit of adjoint gates; it carries no stages."""
-        return Circuit(self.registers, tuple(g.adjoint() for g in reversed(self.gates)))
-
-    def __len__(self):
-        return len(self.gates)
-
-    def __iter__(self):
-        return iter(self.gates)
 
 
 # Elementary-gate costs per (kind, #controls), anchored on the paper's

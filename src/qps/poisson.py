@@ -54,13 +54,8 @@ class TridiagonalSystem:
     def size(self) -> int:
         return self.N - 1
 
-    def matrix(self) -> np.ndarray:
-        s = self.scale
-        k = self.size
-        return 2 * s * np.eye(k) - s * np.eye(k, k=1) - s * np.eye(k, k=-1)
-
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        """A v in O(N), without forming matrix()."""
+        """A v in O(N), without forming the dense matrix."""
         return self.scale * (2.0 * v - np.append(v[1:], 0.0) - np.append(0.0, v[:-1]))
 
 
@@ -74,15 +69,9 @@ def eigenvalue(n: int, j) -> float | np.ndarray:
     return float(lam) if lam.ndim == 0 else lam
 
 
-def eigenpair(n: int, j: int) -> tuple[float, np.ndarray]:
-    """(lambda_j, u_j) with u_j(k) = sqrt(2/N) sin(jk pi / N), k = 1..N-1."""
-    N = 2**n
-    k = np.arange(1, N)
-    return eigenvalue(n, j), math.sqrt(2.0 / N) * np.sin(j * k * np.pi / N)
-
-
 def dst(v: np.ndarray) -> np.ndarray:
-    """Orthonormal DST-I with rows u_j (see eigenpair), so its own inverse; O(N log N)."""
+    """Orthonormal DST-I, so its own inverse, in O(N log N); row j is the
+    eigenvector u_j(k) = sqrt(2/N) sin(jk pi / N), k = 1..N-1, of lambda_j."""
     N = len(v) + 1
     # the rfft of the odd extension has imaginary part -2 sum_k v_k sin(jk pi / N)
     odd = np.concatenate(([0.0], v, [0.0], -v[::-1]))

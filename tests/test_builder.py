@@ -19,11 +19,11 @@ from qps.builder import (
     solve,
     standard_registers,
 )
-from qps.circuit import Circuit, count_resources
+from qps.circuit import Circuit, _check_orthogonal, count_resources
 from qps.identities import inversion_angles
 from qps.poisson import (
     TridiagonalSystem,
-    eigenpair,
+    dst,
     eigenvalue,
     preset_rhs,
     solve_classical,
@@ -51,6 +51,12 @@ def _all_ones_amp(circ, state, j, n):
     return state.amplitudes[j + ones]
 
 
+def _fields(gates):
+    """Each gate's fields, its matrix as nested lists; gates themselves compare by identity."""
+    return [(g.kind, g.targets, g.controls, g.angle, g.label,
+             None if g.matrix is None else g.matrix.tolist()) for g in gates]
+
+
 def test_register_layout():
     regs = standard_registers(4)
     names = {r.name: r for r in regs}
@@ -69,7 +75,7 @@ def test_bc_rows_are_eigenvectors():
     U = bc_matrix(n)
     for j in range(1, 8):
         embedded = np.zeros(8)
-        embedded[1:] = eigenpair(n, j)[1]
+        embedded[1:] = dst(np.eye(7)[j - 1])
         out = U @ embedded
         expected = np.zeros(8)
         expected[j] = 1.0
@@ -167,7 +173,8 @@ def test_qps_composition_uncomputes_bc():
         config = QpsConfig(n=n, mode=mode)
         circ = build_qps(config)
         assert list(circ.stages) == ["bc", "inversion", "flag", "bcdag"]
-        assert circ.gates[circ.stages["inversion"]] == inversion_stage_circuit(config).gates
+        assert _fields(circ.gates[circ.stages["inversion"]]) == _fields(
+            inversion_stage_circuit(config).gates)
         bc, flag, bcdag = (_stage_gate(circ, name) for name in ("bc", "flag", "bcdag"))
         assert (bc.kind, bc.label, bc.targets) == ("block", "BC", tuple(range(n)))
         assert (bcdag.kind, bcdag.label, bcdag.targets) == ("block", "BC†", bc.targets)
@@ -202,7 +209,7 @@ def test_demo_reproduction():
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_eigencomponent_isolation(n):
     for j in range(1, 2**n):
-        u = eigenpair(n, j)[1]
+        u = dst(np.eye(2**n - 1)[j - 1])
         sol = solve(QpsConfig(n=n), u)
         assert fidelity(sol.solution, u) >= 1 - 1e-10
         assert sol.success_probability == pytest.approx(
@@ -216,7 +223,7 @@ def test_semantic_angles_realize_inversion_identity(n):
     # exactly the angles of the reduced inversion identity
     circ = build_inversion_serial(n, "semantic")
     b = circ.register("B")
-    rys = [g for g in circ if g.kind == "ry"]
+    rys = [g for g in circ.gates if g.kind == "ry"]
     assert all(q in b.qubits for g in rys for q, _ in g.controls)
     for j in range(1, 2**n):
         fired = tuple(
@@ -435,7 +442,8 @@ def test_inversion_slice_is_the_inversion_stage(mode, ry):
     for n in range(3, 11):
         config = QpsConfig(n, mode, ry)
         circuit = build_qps(config, materialize_bc=False)
-        assert circuit.gates[circuit.stages["inversion"]] == inversion_stage_circuit(config).gates
+        assert _fields(circuit.gates[circuit.stages["inversion"]]) == _fields(
+            inversion_stage_circuit(config).gates)
 
 
 def _fail(*args, **kwargs):
@@ -508,3 +516,24 @@ def test_bc_block_is_a_lean_real_matrix():
     assert peak < 32 * 2**20  # 64 MiB while blocks were stored as complex128
     assert bc.matrix.dtype == np.float64 and not bc.matrix.flags.writeable
     assert np.array_equal(bcdag.matrix, bc.matrix.T)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_bc_adjoint_is_the_checked_matrix(n):
+    # BC-dagger holds the transposed view of BC's matrix without re-checking
+    # it: bc_matrix is exactly symmetric, so that view is the very matrix that
+    # passed the orthogonality check when BC was built
+    m = bc_matrix(n)
+    assert np.array_equal(m, m.T)
+    _check_orthogonal(m.T)
+
+
+def test_bc_adjoint_allocates_nothing_dense():
+    bc = build_bc(10)
+    tracemalloc.start()
+    try:
+        bc.adjoint()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**10  # re-checking the 1024 x 1024 transpose peaked at 8.4 MB

