@@ -19,13 +19,18 @@ positives, which the costs absorb).
 Resource counting expands every gate through a fixed decomposition cost
 table keyed on (kind, number of controls); depth is greedy ASAP layering,
 both on IR gates (depth_native) and with each gate occupying its expanded
-elementary-depth on its own qubit set (depth_serial).
+elementary-depth on its own qubit set (depth_serial).  One pass counts the
+whole circuit and every named stage, and the table is kept on that Circuit.
+The pass is run-length: a gate whose qubits tuple equals the previous
+gate's starts where that gate ended, so the per-qubit frontiers are written
+once per run of such gates, not once per gate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from operator import itemgetter
+from itertools import groupby
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -171,6 +176,7 @@ class Circuit:
         if self.stages and start != len(gates):
             raise ValueError(f"stages cover {start} gates of {len(gates)}")
         self._by_name = {r.name: r for r in regs}
+        self._resources = None  # count_resources's table, filled on first call
 
     def register(self, name: str) -> QubitRegister:
         return self._by_name[name]
@@ -214,24 +220,32 @@ def count_resources(circuit: Circuit, stage: str | None = None) -> ResourceRepor
     """Resources of the whole circuit, or of one named stage counted on its own."""
     if stage is not None and stage not in circuit.stages:
         raise ValueError(f"unknown stage {stage!r}; known stages: {list(circuit.stages)}")
-    gates = circuit.gates if stage is None else circuit.gates[circuit.stages[stage]]
-    total = 0
-    # ASAP frontiers: each gate occupies its elementary cost (serial) or one
-    # layer (native) on its qubits
-    serial = [0] * circuit.num_qubits
-    native = [0] * circuit.num_qubits
-    for gate in gates:
-        cost = gate_cost(gate)
-        total += cost
-        qubits = gate.qubits
-        end_serial = max(map(serial.__getitem__, qubits)) + cost
-        end_native = max(map(native.__getitem__, qubits)) + 1
-        for q in qubits:
-            serial[q] = end_serial
-            native[q] = end_native
-    return ResourceReport(
-        qubits=circuit.num_qubits,
-        elementary_gates=total,
-        depth_serial=max(serial, default=0),
-        depth_native=max(native, default=0),
-    )
+    if circuit._resources is None:
+        circuit._resources = _count_all(circuit)
+    return circuit._resources[stage]
+
+
+def _count_all(circuit: Circuit) -> dict[str | None, ResourceReport]:
+    """One pass: the whole circuit under None and every stage under its name."""
+    width = circuit.num_qubits
+    # ASAP frontiers, serial and native, of the whole circuit and of the current
+    # stage: each gate occupies its elementary cost or one layer on its qubits.
+    # A run of gates on one qubits tuple is placed as a whole, exactly: each
+    # gate of the run starts where the previous one ended.
+    frontiers = [[0] * width for _ in range(4)]
+    table = {}
+    for name, span in (circuit.stages or {None: slice(None)}).items():
+        frontiers[2:] = [0] * width, [0] * width
+        total = 0
+        for qubits, run in groupby(circuit.gates[span], attrgetter("qubits")):
+            costs = list(map(gate_cost, run))
+            cost, layers = sum(costs), len(costs)
+            total += cost
+            for frontier, step in zip(frontiers, (cost, layers, cost, layers)):
+                end = max(map(frontier.__getitem__, qubits)) + step
+                for q in qubits:
+                    frontier[q] = end
+        table[name] = ResourceReport(width, total, *(max(f, default=0) for f in frontiers[2:]))
+    total = sum(report.elementary_gates for report in table.values())
+    table[None] = ResourceReport(width, total, *(max(f, default=0) for f in frontiers[:2]))
+    return table

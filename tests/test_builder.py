@@ -389,6 +389,16 @@ def test_parallel_depth_improves_with_n():
     assert ratios[1] < ratios[0]
 
 
+@pytest.mark.parametrize("mode", ["serial", "parallel"])
+def test_bitwise_counts_follow_the_closed_form(mode):
+    # exact cubics for n >= 4: the whole circuit and its inversion stage
+    for n in range(4, 41):
+        circ = build_qps(QpsConfig(n=n, mode=mode), materialize_bc=False)
+        whole, inv = count_resources(circ), count_resources(circ, "inversion")
+        assert 3 * whole.elementary_gates == 4 * n**3 + 78 * n**2 + 2 * n - 120, n
+        assert 3 * inv.elementary_gates == 4 * n**3 + 66 * n**2 - 94 * n + 24, n
+
+
 def test_serial_qubit_count_is_3n():
     for n in range(2, 9):
         circ = build_qps(QpsConfig(n=n), materialize_bc=False)

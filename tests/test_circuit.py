@@ -3,8 +3,17 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qps.circuit import Circuit, Gate, QubitRegister, count_resources, gate_cost
+from qps.circuit import (
+    Circuit,
+    Gate,
+    QubitRegister,
+    ResourceReport,
+    count_resources,
+    gate_cost,
+)
 
 REGS = (QubitRegister("A", 2, 0), QubitRegister("B", 2, 2))
 
@@ -212,3 +221,85 @@ def test_resource_monotonicity_and_adjoint_invariance():
     assert ra.elementary_gates >= len(a.gates)
     assert ra.depth_serial <= ra.elementary_gates
 
+
+def _reference_count(gates, num_qubits):
+    """The plain per-gate ASAP loop that count_resources's run-length pass must match."""
+    total = 0
+    serial = [0] * num_qubits
+    native = [0] * num_qubits
+    for gate in gates:
+        cost = gate_cost(gate)
+        total += cost
+        qubits = gate.qubits
+        end_serial = max(map(serial.__getitem__, qubits)) + cost
+        end_native = max(map(native.__getitem__, qubits)) + 1
+        for q in qubits:
+            serial[q] = end_serial
+            native[q] = end_native
+    return ResourceReport(num_qubits, total, max(serial, default=0), max(native, default=0))
+
+
+@st.composite
+def _gate_on(draw, qubits):
+    """A gate whose qubits tuple is exactly ``qubits``, any kind and polarities."""
+    kinds = ["x", "ry", "block"] + (["ry2"] if len(qubits) >= 2 else [])
+    kind = draw(st.sampled_from(kinds))
+    t = {"x": 1, "ry": 1, "ry2": 2, "block": draw(st.integers(1, len(qubits)))}[kind]
+    controls = tuple((q, draw(st.booleans())) for q in qubits[t:])
+    if kind == "x":
+        return Gate.x(qubits[0], controls)
+    if kind == "block":
+        return Gate(kind="block", targets=qubits[:t], controls=controls, label="U")
+    return Gate.ry(0.5, qubits[:t], controls)
+
+
+def _some(draw, items, least=1):
+    """A random ordering of ``items`` cut to at least ``least`` of them."""
+    items = tuple(draw(st.permutations(items)))
+    return items[:draw(st.integers(least, len(items)))]
+
+
+@st.composite
+def _staged_circuits(draw):
+    """Random circuits built from runs on one qubit tuple, broken by gates on a
+    subset, a superset or a fresh tuple, cut into possibly empty stages or none."""
+    width = draw(st.integers(1, 5))
+    regs = (QubitRegister("q", width, 0),)
+    gates = []
+    for _ in range(draw(st.integers(0, 20))):
+        last = gates[-1].qubits if gates else ()
+        spare = [q for q in range(width) if q not in last]
+        move = draw(st.sampled_from(("repeat", "repeat", "subset", "superset", "fresh")))
+        if move == "repeat" and last:
+            qubits = last
+        elif move == "subset" and last:
+            qubits = _some(draw, last)
+        elif move == "superset" and last and spare:
+            qubits = last + _some(draw, spare)
+        else:
+            qubits = _some(draw, range(width))
+        gates.append(draw(_gate_on(qubits)))
+    stages = ()
+    if draw(st.booleans()):
+        cuts = sorted(draw(st.lists(st.integers(0, len(gates)), max_size=4)))
+        bounds = [0, *cuts, len(gates)]
+        stages = tuple((f"s{i}", hi - lo) for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])))
+    return regs, gates, stages
+
+
+@settings(max_examples=150, deadline=None)
+@given(_staged_circuits())
+def test_one_pass_counts_match_the_per_gate_loop(case):
+    regs, gates, stages = case
+    circuit = Circuit(regs, gates, stages)
+    whole = count_resources(circuit)
+    assert whole == _reference_count(circuit.gates, circuit.num_qubits)
+    by_stage = {}
+    for name, span in circuit.stages.items():
+        by_stage[name] = count_resources(circuit, name)
+        assert by_stage[name] == _reference_count(circuit.gates[span], circuit.num_qubits)
+        assert by_stage[name] == count_resources(Circuit(regs, circuit.gates[span]))
+    # stages first, then the whole circuit, on a circuit not yet counted
+    fresh = Circuit(regs, gates, stages)
+    assert {name: count_resources(fresh, name) for name in fresh.stages} == by_stage
+    assert count_resources(fresh) == whole
