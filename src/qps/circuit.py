@@ -196,15 +196,10 @@ BLOCK_COST = 2
 
 def gate_cost(gate: Gate) -> int:
     c = len(gate.controls)
-    if gate.kind == "ry":
-        base = RY_COST
-    elif gate.kind == "x":
-        base = X_COST
-    elif gate.kind == "block":
+    if gate.kind == "block":
         t = len(gate.targets)
         return BLOCK_COST * t * t + MULTI_CONTROL_COST * c
-    else:
-        raise ValueError(f"unknown gate kind {gate.kind!r}")
+    base = RY_COST if gate.kind == "ry" else X_COST
     return base[c] if c < len(base) else MULTI_CONTROL_COST * (c - 1)
 
 

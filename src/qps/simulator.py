@@ -12,10 +12,11 @@ one small matrix over its targets and applied by one BLAS matmul on the
 control-indexed view, bit-identically for a fixed BLAS thread count.
 
 `apply` first indexes away every idle qubit, one that no gate targets or
-controls, whose input holds one basis value (the other half of its
-amplitudes is exactly zero, with no tolerance).  The gates run on the
-remaining view of the same array, so a solve's BCaux ancilla halves the
-work, and the zero half comes back untouched in the full 2**q output.
+controls, whose |1> half of the amplitudes is exactly zero (no tolerance);
+an idle qubit at |1> or in superposition is simulated in full.  The gates
+run on the remaining view of the same array, so a solve's BCaux ancilla at
+|0> halves the work, and the zero half comes back untouched in the full
+2**q output.
 """
 
 from __future__ import annotations
@@ -91,13 +92,11 @@ def _gate_matrix(gate: Gate) -> np.ndarray:
         return rotation if len(gate.targets) == 1 else np.kron(rotation, rotation)
     if gate.kind == "x":
         return np.array([[0.0, 1.0], [1.0, 0.0]])
-    if gate.kind == "block":
-        if gate.matrix is None:
-            raise ValueError(
-                f"block gate {gate.label!r} has no matrix; counting-only circuit"
-            )
-        return gate.matrix
-    raise ValueError(f"unknown gate kind {gate.kind!r}")
+    if gate.matrix is None:
+        raise ValueError(
+            f"block gate {gate.label!r} has no matrix; counting-only circuit"
+        )
+    return gate.matrix
 
 
 def _apply_gate(tensor: np.ndarray, axis: dict[int, int], gate: Gate):
@@ -120,15 +119,12 @@ def apply(state: StateVector, circuit: Circuit) -> StateVector:
     q = state.num_qubits
     amps = state.amplitudes.copy()
     tensor = amps.reshape((2,) * q)
-    # index away each idle qubit whose other half is exactly zero
+    # index away each idle qubit whose |1> half is exactly zero
     touched = {t for gate in circuit.gates for t in gate.qubits}
     fixed = {}
     for t in range(q):
-        if t not in touched:
-            for bit in (False, True):
-                if not tensor[_select(q, [*fixed.items(), (t, not bit)])].any():
-                    fixed[t] = bit
-                    break
+        if t not in touched and not tensor[_select(q, [*fixed.items(), (t, True)])].any():
+            fixed[t] = False
     kept = [t for t in reversed(range(q)) if t not in fixed]
     view = tensor[_select(q, fixed.items())]
     axis = {t: a for a, t in enumerate(kept)}

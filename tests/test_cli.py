@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -162,6 +165,15 @@ def test_cli_rejects_n_outside_its_row(capsys, monkeypatch, argv, row, n):
     assert code == EXIT_CONFIG
     assert out == ""
     assert err == f"error: {row} supports n in [{lo}, {hi}], got {n}\n"
+
+
+def test_bounds_imports_without_numpy():
+    # the package root re-exports nothing, so a leaf module loads alone
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = "import sys, qps.bounds; print('numpy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert result.stdout == "False\n"
 
 
 def _edit_gates(monkeypatch, name, edit):
