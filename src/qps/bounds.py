@@ -10,8 +10,8 @@ A key names the entry point (and mode) and is the subject of the error.
 - report: construction and counting only, up to the paper's n=15.
 - identity residual: the log-domain sums stay stable up to n=14.
 - inversion identity: a 2**n-step Python loop, 0.56 s at n=16, doubling per n.
-- dense BC block: a 2**n x 2**n float64 matrix, checked for orthogonality in
-  O(8**n) once, when it is built; its adjoint is the unchecked transposed view.
+- dense BC block: `build_qps`'s 2**n x 2**n float64 BC matrix, checked for
+  orthogonality in O(8**n) once; its adjoint is the unchecked transposed view.
 """
 
 BOUNDS = {

@@ -101,14 +101,6 @@ def bc_matrix(n: int) -> np.ndarray:
     return M
 
 
-def build_bc(n: int, materialize: bool = True) -> Gate:
-    """The basis-conversion block; counting-only (matrix None) unless materialized."""
-    if materialize or n < 2:
-        bounds.check("dense BC block", n)
-    matrix = bc_matrix(n) if materialize else None
-    return Gate.block(matrix, targets=tuple(range(n)), label="BC")
-
-
 @functools.cache
 def _control_pairs(num_qubits: int) -> tuple[tuple[tuple[int, bool], ...], ...]:
     """The one (qubit, polarity) pair every control uses: ``pairs[q][polarity]``."""
@@ -221,13 +213,15 @@ def build_flag(circuit: Circuit) -> Gate:
 
 def build_qps(config: QpsConfig, materialize_bc: bool | None = None) -> Circuit:
     """BC, eigenvalue inversion, success flag, BC-dagger, as named stages."""
+    # BC is counting-only (matrix None) unless materialized, by default in the solve row
     if materialize_bc is None:
         materialize_bc = config.n <= bounds.BOUNDS[f"{config.mode} solve"][1]
-    bc = build_bc(config.n, materialize_bc)
+    if materialize_bc:
+        bounds.check("dense BC block", config.n)
+    bc = Gate.block(bc_matrix(config.n) if materialize_bc else None, tuple(range(config.n)), "BC")
     layout, inversion = _inversion_gates(config)
-    gates = [bc, *inversion, build_flag(layout), bc.adjoint()]
     stages = (("bc", 1), ("inversion", len(inversion)), ("flag", 1), ("bcdag", 1))
-    return Circuit(layout.registers, gates, stages)
+    return Circuit(layout.registers, (bc, *inversion, build_flag(layout), bc.adjoint()), stages)
 
 
 def _register_amplitudes(n: int, b_hat: np.ndarray) -> np.ndarray:

@@ -19,17 +19,18 @@ positives, which the costs absorb).
 Resource counting expands every gate through a fixed decomposition cost
 table keyed on (kind, number of controls); depth is greedy ASAP layering,
 both on IR gates (depth_native) and with each gate occupying its expanded
-elementary-depth on its own qubit set (depth_serial).  One pass counts the
-whole circuit and every named stage, and the table is kept on that Circuit.
+elementary-depth on its own qubit set (depth_serial).  A Circuit is counted
+when it is built: one pass range-checks its gates and counts the whole
+circuit and every named stage, and `count_resources` looks the table up.
 The pass is run-length: a gate whose qubits tuple equals the previous
-gate's starts where that gate ended, so the per-qubit frontiers are written
-once per run of such gates, not once per gate.
+gate's starts where that gate ended, so the range check and the per-qubit
+frontier writes happen once per run of such gates, not once per gate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import groupby
+from itertools import groupby, islice
 from operator import attrgetter, itemgetter
 
 import numpy as np
@@ -146,7 +147,7 @@ class Gate:
 
 
 class Circuit:
-    """Ordered gates over a fixed register layout; immutable once built."""
+    """Ordered gates over a fixed register layout, range-checked and counted when built."""
 
     def __init__(self, registers, gates=(), stages=()):
         regs = tuple(registers)
@@ -158,13 +159,7 @@ class Circuit:
             position = hi
         self.registers = regs
         self.num_qubits = position
-        gates = tuple(gates)
-        for g in gates:
-            qubits = g.qubits
-            if min(qubits) < 0 or max(qubits) >= position:
-                bad = [q for q in qubits if not 0 <= q < position]
-                raise ValueError(f"gate {g.kind!r} touches out-of-range qubits {bad}")
-        self.gates = gates
+        self.gates = gates = tuple(gates)
         # stages: (name, gate count) pairs that tile the gates in order
         self.stages: dict[str, slice] = {}
         start = 0
@@ -176,7 +171,7 @@ class Circuit:
         if self.stages and start != len(gates):
             raise ValueError(f"stages cover {start} gates of {len(gates)}")
         self._by_name = {r.name: r for r in regs}
-        self._resources = None  # count_resources's table, filled on first call
+        self._resources = _count_all(self)
 
     def register(self, name: str) -> QubitRegister:
         return self._by_name[name]
@@ -215,14 +210,12 @@ def count_resources(circuit: Circuit, stage: str | None = None) -> ResourceRepor
     """Resources of the whole circuit, or of one named stage counted on its own."""
     if stage is not None and stage not in circuit.stages:
         raise ValueError(f"unknown stage {stage!r}; known stages: {list(circuit.stages)}")
-    if circuit._resources is None:
-        circuit._resources = _count_all(circuit)
     return circuit._resources[stage]
 
 
 def _count_all(circuit: Circuit) -> dict[str | None, ResourceReport]:
     """One pass: the whole circuit under None and every stage under its name."""
-    width = circuit.num_qubits
+    width, gates = circuit.num_qubits, circuit.gates
     # ASAP frontiers, serial and native, of the whole circuit and of the current
     # stage: each gate occupies its elementary cost or one layer on its qubits.
     # A run of gates on one qubits tuple is placed as a whole, exactly: each
@@ -232,7 +225,12 @@ def _count_all(circuit: Circuit) -> dict[str | None, ResourceReport]:
     for name, span in (circuit.stages or {None: slice(None)}).items():
         frontiers[2:] = [0] * width, [0] * width
         total = 0
-        for qubits, run in groupby(circuit.gates[span], attrgetter("qubits")):
+        # islice, not a slice: a copy of the inversion stage would raise peak RSS
+        for qubits, run in groupby(islice(gates, span.start, span.stop), attrgetter("qubits")):
+            run = list(run)
+            if min(qubits) < 0 or max(qubits) >= width:
+                bad = [q for q in qubits if not 0 <= q < width]
+                raise ValueError(f"gate {run[0].kind!r} touches out-of-range qubits {bad}")
             costs = list(map(gate_cost, run))
             cost, layers = sum(costs), len(costs)
             total += cost

@@ -135,6 +135,10 @@ def apply(state: StateVector, circuit: Circuit) -> StateVector:
 
 def inject_register(state: StateVector, register: QubitRegister, amplitudes) -> StateVector:
     """Load a superposition into a register that currently sits in |0...0>."""
+    if register.offset + register.width > state.num_qubits:
+        raise ValueError(
+            f"register {register.name!r} lies outside the {state.num_qubits}-qubit state"
+        )
     target = as_real(amplitudes, "amplitudes")
     if target.shape != (2**register.width,):
         raise ValueError(
@@ -160,6 +164,13 @@ def postselect(state: StateVector, qubits, outcome) -> PostselectResult:
     if len(qubits) != len(outcome):
         raise ValueError("qubits and outcome bits must align")
     q = state.num_qubits
+    bad = [t for t in qubits if not 0 <= t < q]
+    if bad:
+        raise ValueError(f"qubits {bad} lie outside the {q}-qubit state")
+    if len(set(qubits)) != len(qubits):
+        raise ValueError(f"qubits {qubits} repeat")
+    if not set(outcome) <= {0, 1}:
+        raise ValueError(f"outcome bits must be 0 or 1, got {outcome}")
     idx = _select(q, zip(qubits, outcome))
     tensor = state.tensor()
     sub = tensor[idx]
@@ -188,6 +199,8 @@ def extract_register(state: StateVector, register: QubitRegister, fixed) -> np.n
     for reg, value in dict(fixed).items():
         if not 0 <= value < 2**reg.width:
             raise ValueError(f"value {value} out of range for register {reg.name!r}")
+        if covered.intersection(reg.qubits):
+            raise ValueError(f"fixed register {reg.name!r} overlaps another register")
         for i in range(reg.width):
             controls.append((reg.qubit(i), bool((value >> i) & 1)))
             covered.add(reg.qubit(i))

@@ -10,7 +10,6 @@ from qps import builder
 from qps.builder import (
     QpsConfig,
     bc_matrix,
-    build_bc,
     build_flag,
     build_inversion_parallel,
     build_inversion_serial,
@@ -19,7 +18,7 @@ from qps.builder import (
     solve,
     standard_registers,
 )
-from qps.circuit import Circuit, _check_orthogonal, count_resources
+from qps.circuit import Circuit, Gate, _check_orthogonal, count_resources
 from qps.identities import inversion_angles
 from qps.poisson import (
     TridiagonalSystem,
@@ -95,12 +94,13 @@ def test_bc_is_unitary_and_matches_dst_oracle():
                 )
 
 
+DENSE_BC_N13 = r"^dense BC block supports n in \[2, 12\], got 13$"
+
+
 def test_build_bc_bounds():
-    with pytest.raises(ValueError):
-        build_bc(1)
-    with pytest.raises(ValueError):
-        build_bc(13)
-    lazy = build_bc(5, materialize=False)
+    with pytest.raises(ValueError, match=DENSE_BC_N13):
+        build_qps(QpsConfig(n=13), materialize_bc=True)
+    lazy = _stage_gate(build_qps(QpsConfig(n=5), materialize_bc=False), "bc")
     assert lazy.matrix is None and lazy.label == "BC"
 
 
@@ -193,8 +193,8 @@ def test_qps_composition_uncomputes_bc():
             assert bc.matrix is None and bcdag.matrix is None
             assert count_resources(circ, "inversion") == count_resources(
                 inversion_stage_circuit(config))
-    with pytest.raises(ValueError):
-        build_bc(13)
+    with pytest.raises(ValueError, match=DENSE_BC_N13):
+        build_qps(QpsConfig(n=13), materialize_bc=True)
 
 
 def test_demo_reproduction():
@@ -518,7 +518,7 @@ def test_solve_n7_fingerprint_unchanged():
 def test_bc_block_is_a_lean_real_matrix():
     tracemalloc.start()
     try:
-        bc = build_bc(10)
+        bc = Gate.block(bc_matrix(10), tuple(range(10)), "BC")
         bcdag = bc.adjoint()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -539,7 +539,7 @@ def test_bc_adjoint_is_the_checked_matrix(n):
 
 
 def test_bc_adjoint_allocates_nothing_dense():
-    bc = build_bc(10)
+    bc = Gate.block(bc_matrix(10), tuple(range(10)), "BC")
     tracemalloc.start()
     try:
         bc.adjoint()

@@ -109,6 +109,12 @@ def test_gate_bounds_checked():
         message = rf"^gate '{gate.kind}' touches out-of-range qubits {re.escape(bad)}$"
         with pytest.raises(ValueError, match=message):
             Circuit(REGS, [ok, gate, ok])
+    # the check runs once per run of gates on one qubits tuple, and in every stage
+    run = [Gate.x(4), Gate.ry(0.5, 4), Gate.x(4)]
+    with pytest.raises(ValueError, match=r"^gate 'x' touches out-of-range qubits \[4\]$"):
+        Circuit(REGS, [ok, *run, ok])
+    with pytest.raises(ValueError, match=r"^gate 'ry' touches out-of-range qubits \[-1\]$"):
+        Circuit(REGS, [ok, ok, Gate.ry(0.5, -1), ok], (("head", 1), ("body", 3)))
     assert Circuit(REGS, [ok]).gates == (ok,)
 
 
@@ -292,7 +298,7 @@ def test_one_pass_counts_match_the_per_gate_loop(case):
         by_stage[name] = count_resources(circuit, name)
         assert by_stage[name] == _reference_count(circuit.gates[span], circuit.num_qubits)
         assert by_stage[name] == count_resources(Circuit(regs, circuit.gates[span]))
-    # stages first, then the whole circuit, on a circuit not yet counted
+    # stages first, then the whole circuit, on a second build of the same gates
     fresh = Circuit(regs, gates, stages)
     assert {name: count_resources(fresh, name) for name in fresh.stages} == by_stage
     assert count_resources(fresh) == whole

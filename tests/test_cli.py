@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -354,3 +355,38 @@ def test_runtime_error_maps_to_verify_exit(capsys, monkeypatch):
     assert code == EXIT_VERIFY
     assert err == "error: postselection impossible: outcome probability 0\n"
     assert "Traceback" not in out + err
+
+
+def _transcript_argvs():
+    """116 CLI runs: every command in human and json, the verify paths and four bound errors."""
+    runs = [["demo", "--ry", ry] for ry in ("bitwise", "semantic")]
+    for preset in ("sin", "const", "ramp"):
+        for mode, ns in (("serial", range(2, 6)), ("parallel", range(3, 5))):
+            runs += [["solve", "--n", str(n), "--mode", mode, "--preset", preset] for n in ns]
+    runs.append(["identities", "--n-max", "10"])
+    for mode, lo in (("serial", 2), ("parallel", 3)):
+        for ry in ("bitwise", "semantic"):
+            runs += [["report", "--n", str(n), "--mode", mode, "--ry", ry]
+                     for n in range(lo, 11)]
+    runs = [argv + ["--output", output] for argv in runs for output in ("human", "json")]
+    return runs + [
+        ["verify", "--n-max", "4", "--seed", "3"],
+        ["verify", "--n-max", "3", "--inject-fault"],
+        ["solve", "--n", "7", "--preset", "sin"],
+        ["report", "--n", "16"],
+        ["identities", "--n-max", "15"],
+        ["verify", "--n-max", "7"],
+    ]
+
+
+# SHA-256 over (argv, exit code, stdout, stderr) of every run in _transcript_argvs
+CLI_TRANSCRIPT_FINGERPRINT = "8628c4a0f6364b45b6ebdd49c2af857d52879e3fe469f7093fc798292ac2b1e9"
+
+
+def test_cli_transcript_unchanged(capsys):
+    argvs = _transcript_argvs()
+    assert len(argvs) == 116
+    digest = hashlib.sha256()
+    for argv in argvs:
+        digest.update(json.dumps([argv, *run(capsys, *argv)]).encode())
+    assert digest.hexdigest() == CLI_TRANSCRIPT_FINGERPRINT

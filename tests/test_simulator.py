@@ -414,6 +414,24 @@ def test_postselect_impossible_outcome():
         postselect(StateVector.ground(2), [0], [1])
 
 
+_MIXED = StateVector(3, [0.8, 0.6, 0, 0, 0, 0, 0, 0])
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: postselect(_MIXED, [3], [1]), r"qubits \[3\] lie outside the 3-qubit state"),
+    (lambda: postselect(_MIXED, [-1], [1]), r"qubits \[-1\] lie outside the 3-qubit state"),
+    (lambda: postselect(_MIXED, [0, 0], [1, 0]), r"qubits \[0, 0\] repeat"),
+    (lambda: postselect(_MIXED, [0], [2]), r"outcome bits must be 0 or 1, got \[2\]"),
+    (lambda: extract_register(StateVector(4, np.eye(16)[1]), A, {A: 1, B: 0}),
+     "fixed register 'A' overlaps another register"),
+    (lambda: inject_register(StateVector.ground(3), B, [1, 0, 0, 0]),
+     "register 'B' lies outside the 3-qubit state"),
+], ids=["past", "negative", "repeated", "bit-2", "read-and-fixed", "inject-past"])
+def test_readout_rejects_addresses_it_cannot_honour(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_extract_product_state_exact():
     rng = np.random.default_rng(29)
     a = rng.standard_normal(4)
