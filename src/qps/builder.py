@@ -38,7 +38,7 @@ import numpy as np
 from . import bounds, identities
 from .circuit import Circuit, Gate, QubitRegister, ResourceReport, count_resources
 from .poisson import TridiagonalSystem, _as_vector, solve_classical
-from .simulator import StateVector, apply, extract_register, fidelity, inject_register, postselect
+from .simulator import StateVector, apply, extract_register, fidelity, inject_register
 
 SERIAL = "serial"
 PARALLEL = "parallel"
@@ -247,19 +247,14 @@ def solve(config: QpsConfig, b) -> QpsSolution:
     b_hat = rhs / norm
 
     circuit = build_qps(config)
-    b_reg = circuit.register("B")
-    anc = circuit.register("Anc")
+    b_reg, e_reg, anc = map(circuit.register, ("B", "E", "Anc"))
 
     state = StateVector.ground(circuit.num_qubits)
     state = inject_register(state, b_reg, _register_amplitudes(config.n, b_hat))
     state = apply(state, circuit)
 
-    result = postselect(state, [anc.qubit(0)], [1])
-    e_reg = circuit.register("E")
-    fixed = {r: 0 for r in circuit.registers if r != b_reg}
-    fixed[e_reg] = 2**e_reg.width - 1
-    fixed[anc] = 1
-    vec = extract_register(result.state, b_reg, fixed)
+    fixed = {r: 0 for r in circuit.registers if r != b_reg} | {e_reg: 2**e_reg.width - 1, anc: 1}
+    probability, vec = extract_register(state, b_reg, fixed, anc)
 
     if abs(vec[0]) > 1e-10:
         raise RuntimeError("postselected register B is not a real solution direction")
@@ -270,7 +265,7 @@ def solve(config: QpsConfig, b) -> QpsSolution:
 
     return QpsSolution(
         solution=solution,
-        success_probability=result.probability,
+        success_probability=probability,
         resources=count_resources(circuit),
         classical_reference=reference,
         fidelity=fidelity(solution, reference),

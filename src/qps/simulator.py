@@ -17,11 +17,15 @@ an idle qubit at |1> or in superposition is simulated in full.  The gates
 run on the remaining view of the same array, so a solve's BCaux ancilla at
 |0> halves the work, and the zero half comes back untouched in the full
 2**q output.
+
+The readouts make no state-sized copy: `postselect` returns an outcome's
+probability P, and `extract_register` a flag's P and a register's vector.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,7 +75,6 @@ class StateVector:
 @dataclass(frozen=True)
 class PostselectResult:
     probability: float
-    state: StateVector
 
 
 def _select(num_qubits: int, assignment) -> tuple:
@@ -159,11 +162,13 @@ def inject_register(state: StateVector, register: QubitRegister, amplitudes) -> 
 
 
 def postselect(state: StateVector, qubits, outcome) -> PostselectResult:
-    qubits = list(qubits)
-    outcome = list(outcome)
+    """The probability that the qubits read the outcome bits, and nothing else."""
+    qubits, outcome = list(qubits), list(outcome)
     if len(qubits) != len(outcome):
         raise ValueError("qubits and outcome bits must align")
     q = state.num_qubits
+    if not all(isinstance(t, numbers.Integral) for t in qubits):
+        raise ValueError(f"qubits must be integers, got {qubits}")
     bad = [t for t in qubits if not 0 <= t < q]
     if bad:
         raise ValueError(f"qubits {bad} lie outside the {q}-qubit state")
@@ -171,53 +176,53 @@ def postselect(state: StateVector, qubits, outcome) -> PostselectResult:
         raise ValueError(f"qubits {qubits} repeat")
     if not set(outcome) <= {0, 1}:
         raise ValueError(f"outcome bits must be 0 or 1, got {outcome}")
-    idx = _select(q, zip(qubits, outcome))
-    tensor = state.tensor()
-    sub = tensor[idx]
+    # flattened once here: np.vdot copies a strided view once per argument
+    sub = state.tensor()[_select(q, zip(qubits, outcome))].reshape(-1)
     probability = float(np.vdot(sub, sub))
     if not probability >= POSTSELECT_FLOOR:
         raise RuntimeError(
             f"postselection impossible: outcome probability {probability:.3e} "
             f"below floor {POSTSELECT_FLOOR:.1e}"
         )
-    new = np.zeros_like(tensor)
-    new[idx] = sub / math.sqrt(probability)
-    return PostselectResult(probability=probability,
-                            state=StateVector(q, new.reshape(-1)))
+    return PostselectResult(probability)
 
 
-def extract_register(state: StateVector, register: QubitRegister, fixed) -> np.ndarray:
-    """Read a register's amplitude vector after fixing all other registers.
+def extract_register(state: StateVector, register: QubitRegister, fixed, flag) -> tuple:
+    """Postselect register flag and read register's amplitudes, as (P, vector).
 
-    fixed maps each remaining register to the basis value it is asserted to
-    hold; the state must factorize accordingly (residual mass outside the
-    fixed assignment below RESIDUAL_TOL).
+    fixed maps every other register, flag among them, to the basis value it
+    must hold; P is the probability of flag at its value.  The fixed slice over
+    sqrt(P) must have mass 1 to RESIDUAL_TOL; it is returned over sqrt(mass).
     """
     q = state.num_qubits
+    if flag not in fixed:
+        raise ValueError(f"flag register {flag.name!r} is not a fixed register")
     controls = []
     covered = set(register.qubits)
-    for reg, value in dict(fixed).items():
+    for reg, value in fixed.items():
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"value {value} for register {reg.name!r} is not an integer")
         if not 0 <= value < 2**reg.width:
             raise ValueError(f"value {value} out of range for register {reg.name!r}")
         if covered.intersection(reg.qubits):
             raise ValueError(f"fixed register {reg.name!r} overlaps another register")
-        for i in range(reg.width):
-            controls.append((reg.qubit(i), bool((value >> i) & 1)))
-            covered.add(reg.qubit(i))
+        controls += [(t, (value >> i) & 1) for i, t in enumerate(reg.qubits)]
+        covered.update(reg.qubits)
     if covered != set(range(q)):
         raise ValueError("fixed assignments must cover all other registers")
 
-    sub = state.tensor()[_select(q, controls)]
+    outcome = [(fixed[flag] >> i) & 1 for i in range(flag.width)]
+    probability = postselect(state, flag.qubits, outcome).probability
     # remaining axes are the register's qubits in descending order, so the
     # C-order flattening is already indexed by register value
-    vec = sub.reshape(-1)
+    vec = state.tensor()[_select(q, controls)].reshape(-1) / math.sqrt(probability)
     mass = float(np.vdot(vec, vec))
     if not 1.0 - mass <= RESIDUAL_TOL:
         raise RuntimeError(
             f"state does not factorize: residual mass {1.0 - mass:.3e} outside "
             f"the fixed assignment"
         )
-    return vec / math.sqrt(mass)
+    return probability, vec / math.sqrt(mass)
 
 
 def fidelity(a, b) -> float:

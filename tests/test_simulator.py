@@ -251,6 +251,24 @@ def test_apply_peak_memory_on_a_solve_circuit():
     assert peak < 3.5 * 2**20
 
 
+def test_solve_readout_peak_memory():
+    circuit = build_qps(QpsConfig(n=6))
+    b_reg, e_reg, anc = map(circuit.register, ("B", "E", "Anc"))
+    b = np.random.default_rng(3).standard_normal(2**6)
+    b[0] = 0.0
+    state = apply(inject_register(StateVector.ground(circuit.num_qubits), b_reg, b), circuit)
+    fixed = {r: 0 for r in circuit.registers if r != b_reg} | {e_reg: 2**e_reg.width - 1, anc: 1}
+    tracemalloc.start()
+    try:
+        extract_register(state, b_reg, fixed, anc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a 2 MiB state; the strided Anc = 1 half is flattened once (1 MiB), where
+    # np.vdot on the view would copy it once per argument (2 MiB)
+    assert peak < 0.75 * state.amplitudes.nbytes
+
+
 def test_x_flips_qubit():
     out = apply(StateVector.ground(1), Circuit((QubitRegister("q", 1, 0),), [Gate.x(0)]))
     assert np.allclose(out.amplitudes, [0, 1])
@@ -321,7 +339,8 @@ def test_inject_basis_state_and_round_trip():
     rng = np.random.default_rng(5)
     amps = rng.standard_normal(4)
     state = inject_register(StateVector.ground(4), B, amps)
-    vec = extract_register(state, B, {A: 0})
+    probability, vec = extract_register(state, B, {A: 0}, A)
+    assert probability == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(vec, amps / np.linalg.norm(amps), atol=1e-12)
 
 
@@ -398,7 +417,6 @@ def test_postselect_plus_state():
     plus = _state([1, 1])
     res = postselect(plus, [0], [1])
     assert res.probability == pytest.approx(0.5)
-    assert np.allclose(res.state.amplitudes, [0, 1])
 
 
 def test_postselect_complement_probabilities_sum_to_one():
@@ -422,11 +440,19 @@ _MIXED = StateVector(3, [0.8, 0.6, 0, 0, 0, 0, 0, 0])
     (lambda: postselect(_MIXED, [-1], [1]), r"qubits \[-1\] lie outside the 3-qubit state"),
     (lambda: postselect(_MIXED, [0, 0], [1, 0]), r"qubits \[0, 0\] repeat"),
     (lambda: postselect(_MIXED, [0], [2]), r"outcome bits must be 0 or 1, got \[2\]"),
-    (lambda: extract_register(StateVector(4, np.eye(16)[1]), A, {A: 1, B: 0}),
+    (lambda: postselect(_MIXED, [2.0], [1]), r"qubits must be integers, got \[2.0\]"),
+    (lambda: extract_register(StateVector(4, np.eye(16)[1]), A, {A: 1, B: 0}, B),
      "fixed register 'A' overlaps another register"),
+    (lambda: extract_register(StateVector(4, np.eye(16)[12]), A, {B: 3.0}, B),
+     "value 3.0 for register 'B' is not an integer"),
+    (lambda: extract_register(StateVector(4, np.eye(16)[12]), A, {B: np.float64(3)}, B),
+     "value 3.0 for register 'B' is not an integer"),
+    (lambda: extract_register(StateVector(4, np.eye(16)[12]), A, {B: 3}, A),
+     "flag register 'A' is not a fixed register"),
     (lambda: inject_register(StateVector.ground(3), B, [1, 0, 0, 0]),
      "register 'B' lies outside the 3-qubit state"),
-], ids=["past", "negative", "repeated", "bit-2", "read-and-fixed", "inject-past"])
+], ids=["past", "negative", "repeated", "bit-2", "float-qubit", "read-and-fixed",
+        "float-value", "numpy-float-value", "flag-not-fixed", "inject-past"])
 def test_readout_rejects_addresses_it_cannot_honour(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
@@ -437,20 +463,66 @@ def test_extract_product_state_exact():
     a = rng.standard_normal(4)
     state = inject_register(StateVector.ground(4), A, a)
     state = inject_register(state, B, [0, 0, 0, 1])
-    vec = extract_register(state, A, {B: 3})
+    probability, vec = extract_register(state, A, {B: 3}, B)
+    assert probability == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(vec, a / np.linalg.norm(a), atol=1e-12)
 
 
+_MIDDLE, _TOP = QubitRegister("M", 1, 2), QubitRegister("T", 1, 3)
+
+
 def test_extract_rejects_entangled_state():
-    # Bell state across the two registers
+    # flag qubit 3 at |1>, and a Bell pair across register A and qubit 2
     amps = np.zeros(16)
-    amps[0b0000] = 2**-0.5
-    amps[0b0101] = 2**-0.5
+    amps[0b1000] = 2**-0.5
+    amps[0b1101] = 2**-0.5
     state = StateVector(4, amps)
-    with pytest.raises(RuntimeError):
-        extract_register(state, A, {B: 0})
-    with pytest.raises(ValueError):
-        extract_register(state, A, {})
+    with pytest.raises(RuntimeError, match="^state does not factorize"):
+        extract_register(state, A, {_MIDDLE: 0, _TOP: 1}, _TOP)
+    with pytest.raises(ValueError, match="^fixed assignments must cover all other registers$"):
+        extract_register(state, A, {_TOP: 1}, _TOP)
+
+
+# register R, then a one-qubit flag F between the two qubits of G, so the
+# flag slice is a strided view as Anc's is in a solve
+_R, _F, _G = (QubitRegister("R", 2, 0), QubitRegister("F", 1, 2), QubitRegister("G", 2, 3))
+
+
+def _two_step_readout(state, g):
+    """The zero-filled renormalized postselection, then the slice of register R."""
+    tensor = state.amplitudes.reshape(4, 2, 4)  # G, F, R
+    sub = tensor[:, 1, :]
+    probability = float(np.vdot(sub, sub))
+    new = np.zeros_like(tensor)
+    new[:, 1, :] = sub / math.sqrt(probability)
+    vec = StateVector(5, new.reshape(-1)).amplitudes.reshape(4, 2, 4)[g, 1, :]
+    mass = float(np.vdot(vec, vec))
+    return probability, vec / math.sqrt(mass)
+
+
+def test_extract_register_matches_the_two_step_readout():
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        g = int(rng.integers(4))
+        amps = np.zeros((4, 2, 4))
+        amps[:, 0, :] = rng.standard_normal((4, 4))
+        amps[g, 1, :] = rng.standard_normal(4) * rng.uniform(0.05, 3.0)
+        state = _state(amps.reshape(-1))
+        probability, vec = extract_register(state, _R, {_F: 1, _G: g}, _F)
+        expected_p, expected_vec = _two_step_readout(state, g)
+        assert probability == expected_p
+        assert np.array_equal(vec, expected_vec)
+
+    faint = np.zeros((4, 2, 4))
+    faint[0, 0, 0] = 1.0
+    faint[2, 1, 3] = 1e-7  # outcome probability 1e-14
+    with pytest.raises(RuntimeError, match="^postselection impossible: outcome probability"):
+        extract_register(_state(faint.reshape(-1)), _R, {_F: 1, _G: 2}, _F)
+    leaky = np.zeros((4, 2, 4))
+    leaky[2, 1, 3] = 1.0
+    leaky[1, 1, 0] = 1e-3  # flag slice mass outside G = 2
+    with pytest.raises(RuntimeError, match="^state does not factorize: residual mass"):
+        extract_register(_state(leaky.reshape(-1)), _R, {_F: 1, _G: 2}, _F)
 
 
 def test_fidelity_basics():
