@@ -2,9 +2,9 @@
 
 A key names the entry point (and mode) and is the subject of the error.
 - serial / parallel solve: library `builder.solve`; a dense state of at most
-  2**24 amplitudes (128 MiB as float64).  With one BLAS thread on a 2-core
-  x86-64 box, serial n=7 takes 0.23 s / 76 MB, n=8 5.2 s / 373 MB, and
-  parallel n=6 0.45 s / 131 MB (solve wall time / process peak RSS).
+  2**24 amplitudes (128 MiB as float64).  Measured 2026-10-19, one fresh
+  process each, one BLAS thread, 2-core x86-64: serial n=7 0.28 s / 75 MB,
+  n=8 5.5 s / 372 MB, parallel n=6 0.55 s / 131 MB (solve wall / peak RSS).
 - serial / parallel simulation: `qps solve`, `qps verify --n-max` and its
   construction-equivalence sweep; interactive sizes.
 - report: construction and counting only, up to the paper's n=15.
@@ -13,6 +13,8 @@ A key names the entry point (and mode) and is the subject of the error.
 - dense BC block: `build_qps`'s 2**n x 2**n float64 BC matrix, checked for
   orthogonality in O(8**n) once; its adjoint is the unchecked transposed view.
 """
+
+import numbers
 
 BOUNDS = {
     "serial solve": (2, 8), "parallel solve": (3, 6),
@@ -25,5 +27,7 @@ BOUNDS = {
 def check(what: str, n: int) -> None:
     """Raise ValueError unless row `what` accepts n."""
     lo, hi = BOUNDS[what]
+    if not isinstance(n, numbers.Integral):
+        raise ValueError(f"{what} needs an integer n, got {n!r}")
     if not lo <= n <= hi:
         raise ValueError(f"{what} supports n in [{lo}, {hi}], got {n}")

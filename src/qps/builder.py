@@ -224,12 +224,6 @@ def build_qps(config: QpsConfig, materialize_bc: bool | None = None) -> Circuit:
     return Circuit(layout.registers, (bc, *inversion, build_flag(layout), bc.adjoint()), stages)
 
 
-def _register_amplitudes(n: int, b_hat: np.ndarray) -> np.ndarray:
-    amps = np.zeros(2**n)
-    amps[1:] = b_hat
-    return amps
-
-
 def solve(config: QpsConfig, b) -> QpsSolution:
     bounds.check(f"{config.mode} solve", config.n)
     rhs = _as_vector(b)
@@ -250,7 +244,7 @@ def solve(config: QpsConfig, b) -> QpsSolution:
     b_reg, e_reg, anc = map(circuit.register, ("B", "E", "Anc"))
 
     state = StateVector.ground(circuit.num_qubits)
-    state = inject_register(state, b_reg, _register_amplitudes(config.n, b_hat))
+    state = inject_register(state, b_reg, np.concatenate(([0.0], b_hat)))
     state = apply(state, circuit)
 
     fixed = {r: 0 for r in circuit.registers if r != b_reg} | {e_reg: 2**e_reg.width - 1, anc: 1}

@@ -37,9 +37,6 @@ def _fmt(x: float) -> str:
 
 def _load_b(args, n: int) -> np.ndarray:
     size = 2**n - 1
-    sources = [s for s in (args.preset, args.file, args.b) if s is not None]
-    if len(sources) > 1:
-        raise ValueError("choose exactly one of --preset, --file, --b")
     if args.preset is not None:
         return preset_rhs(args.preset, n)
     if args.file is not None:
@@ -57,15 +54,13 @@ def _load_b(args, n: int) -> np.ndarray:
                 f"b file must hold exactly {size} values (one per line), got {len(vec)}"
             )
         return vec
-    if args.b is not None:
-        try:
-            vec = np.array([float(tok) for tok in args.b.split(",")])
-        except ValueError as exc:
-            raise ValueError(f"bad --b list: {exc}") from exc
-        if len(vec) != size:
-            raise ValueError(f"--b needs {size} comma-separated values, got {len(vec)}")
-        return vec
-    raise ValueError("no right-hand side given: use --preset, --file, or --b")
+    try:
+        vec = np.array([float(tok) for tok in args.b.split(",")])
+    except ValueError as exc:
+        raise ValueError(f"bad --b list: {exc}") from exc
+    if len(vec) != size:
+        raise ValueError(f"--b needs {size} comma-separated values, got {len(vec)}")
+    return vec
 
 
 def _solution_record(config: QpsConfig, sol: QpsSolution, b: np.ndarray) -> dict:
@@ -215,9 +210,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve -v'' = b for a given right-hand side")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--preset", help=f"named b: {sorted(PRESETS)}")
-    p.add_argument("--file", help="CSV file, one value per line, 2**n - 1 lines")
-    p.add_argument("--b", help="inline comma-separated values")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--preset", help=f"named b: {sorted(PRESETS)}")
+    source.add_argument("--file", help="CSV file, one value per line, 2**n - 1 lines")
+    source.add_argument("--b", help="inline comma-separated values")
     add_common(p, "json", "csv")
     p.set_defaults(func=cmd_solve)
 
@@ -255,10 +251,6 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-
-
-def entry():  # console-script wrapper
-    sys.exit(main())
 
 
 if __name__ == "__main__":

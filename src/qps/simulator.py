@@ -18,8 +18,8 @@ run on the remaining view of the same array, so a solve's BCaux ancilla at
 |0> halves the work, and the zero half comes back untouched in the full
 2**q output.
 
-The readouts make no state-sized copy: `postselect` returns an outcome's
-probability P, and `extract_register` a flag's P and a register's vector.
+No check or readout copies the state: `inject_register` needs exact zeros off
+|0...0>, `postselect` returns a probability P, `extract_register` (P, vector).
 """
 
 from __future__ import annotations
@@ -137,7 +137,7 @@ def apply(state: StateVector, circuit: Circuit) -> StateVector:
 
 
 def inject_register(state: StateVector, register: QubitRegister, amplitudes) -> StateVector:
-    """Load a superposition into a register that currently sits in |0...0>."""
+    """Load a superposition into a register that sits exactly in |0...0>."""
     if register.offset + register.width > state.num_qubits:
         raise ValueError(
             f"register {register.name!r} lies outside the {state.num_qubits}-qubit state"
@@ -155,7 +155,7 @@ def inject_register(state: StateVector, register: QubitRegister, amplitudes) -> 
     # a register is a contiguous qubit range, so the middle axis of this
     # view is indexed by the register's value
     view = state.amplitudes.reshape(-1, 2**register.width, 2**register.offset)
-    if np.linalg.norm(view[:, 1:, :]) > NORM_TOL:
+    if view[:, 1:, :].any():
         raise ValueError(f"register {register.name!r} is not in its ground state")
     new = view[:, :1, :] * target[:, None]
     return StateVector(state.num_qubits, new.reshape(-1))

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qps import builder, cli, verify
+from qps import bounds, builder, cli, identities, verify
 from qps.bounds import BOUNDS
 from qps.circuit import Circuit
 from qps.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VERIFY, main
@@ -166,6 +167,30 @@ def test_cli_rejects_n_outside_its_row(capsys, monkeypatch, argv, row, n):
     assert code == EXIT_CONFIG
     assert out == ""
     assert err == f"error: {row} supports n in [{lo}, {hi}], got {n}\n"
+
+
+@pytest.mark.parametrize("call,row", [
+    (verify.identity_rows, "identity residual"),
+    (lambda n: verify.checks(n, 0, False), "serial simulation"),
+    (identities.inversion_identity_error, "inversion identity"),
+    (identities.sine_formula_residual, "identity residual"),
+    (lambda n: bounds.check("report", n), "report"),
+], ids=["identity_rows", "checks", "inversion_identity_error", "sine_formula_residual",
+        "check"])
+@pytest.mark.parametrize("n", [3.0, 2.5, "3", None])
+def test_non_integer_n_rejected_by_its_row(call, row, n):
+    with pytest.raises(ValueError) as exc:
+        call(n)
+    assert str(exc.value) == f"{row} needs an integer n, got {n!r}"
+
+
+def test_console_script_target_runs_demo(capsys):
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["qps"]
+    assert pkgutil.resolve_name(target)(["demo"]) == EXIT_OK
+    assert capsys.readouterr().err == ""
 
 
 def test_bounds_imports_without_numpy():
@@ -334,16 +359,22 @@ def test_solve_unknown_preset(capsys):
     assert err == "error: unknown preset 'nope'; choose from ['const', 'ramp', 'sin']\n"
 
 
-@pytest.mark.parametrize("argv", [
-    ["report", "--n", "2", "--output", "csv"],
-    ["verify", "--output", "json"],
-    ["solve", "--n", "2", "--preset", "sin", "--seed", "1"],
-    ["demo", "--mode", "parallel"],
-])
-def test_unimplemented_options_rejected(capsys, argv):
+@pytest.mark.parametrize("argv,names", [
+    (["report", "--n", "2", "--output", "csv"], ["--output"]),
+    (["verify", "--output", "json"], ["--output"]),
+    (["solve", "--n", "2", "--preset", "sin", "--seed", "1"], ["--seed"]),
+    (["demo", "--mode", "parallel"], ["--mode"]),
+    # solve takes exactly one source, by argparse's mutually exclusive group
+    (["solve", "--n", "2"], ["--preset", "--file", "--b"]),
+    (["solve", "--n", "2", "--preset", "sin", "--b", "1,2,3"], ["--preset", "--b"]),
+], ids=[f"argv{i}" for i in range(6)])
+def test_unimplemented_options_rejected(capsys, argv, names):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert all(name in err for name in names)
+    assert "Traceback" not in err
 
 
 def test_runtime_error_maps_to_verify_exit(capsys, monkeypatch):

@@ -357,6 +357,15 @@ def test_inject_rejects_bad_input():
     occupied = inject_register(StateVector.ground(4), A, [0, 1, 0, 0])
     with pytest.raises(ValueError):
         inject_register(occupied, A, [0, 1, 0, 0])
+    # the empty-register check is exact: no amplitude off |0...0> is dropped
+    stray = np.zeros(16)
+    stray[0], stray[1] = 1.0, 1e-13
+    with pytest.raises(ValueError, match="not in its ground state"):
+        inject_register(StateVector(4, stray), A, [0, 1, 0, 0])
+    signed_zero = np.zeros(16)
+    signed_zero[0], signed_zero[1] = 1.0, -0.0
+    injected = inject_register(StateVector(4, signed_zero), A, [0, 1, 0, 0])
+    assert injected.amplitudes[1] == 1.0
 
 
 def test_apply_then_adjoint_restores_state():
