@@ -1,17 +1,14 @@
 """The n every entry point accepts: one table of inclusive (lo, hi) rows.
 
 A key names the entry point (and mode) and is the subject of the error.
-- serial / parallel solve: library `builder.solve`; a dense state of at most
-  2**24 amplitudes (128 MiB as float64).  Measured 2026-10-19, one fresh
-  process each, one BLAS thread, 2-core x86-64: serial n=7 0.28 s / 75 MB,
-  n=8 5.5 s / 372 MB, parallel n=6 0.55 s / 131 MB (solve wall / peak RSS).
+- serial / parallel solve: library `builder.solve` and every `build_qps`
+  that materializes its BC matrix; a dense state of at most 2**24
+  amplitudes (128 MiB as float64).
 - serial / parallel simulation: `qps solve`, `qps verify --n-max` and its
   construction-equivalence sweep; interactive sizes.
 - report: construction and counting only, up to the paper's n=15.
 - identity residual: the log-domain sums stay stable up to n=14.
-- inversion identity: a 2**n-step Python loop, 0.56 s at n=16, doubling per n.
-- dense BC block: `build_qps`'s 2**n x 2**n float64 BC matrix, checked for
-  orthogonality in O(8**n) once; its adjoint is the unchecked transposed view.
+- inversion identity: a 2**n-step Python loop.
 """
 
 import numbers
@@ -20,7 +17,7 @@ BOUNDS = {
     "serial solve": (2, 8), "parallel solve": (3, 6),
     "serial simulation": (2, 6), "parallel simulation": (3, 5),
     "identity residual": (1, 14), "inversion identity": (2, 12),
-    "report": (2, 15), "dense BC block": (2, 12),
+    "report": (2, 15),
 }
 
 

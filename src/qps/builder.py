@@ -211,13 +211,11 @@ def build_flag(circuit: Circuit) -> Gate:
     return Gate.x(circuit.register("Anc").qubit(0), controls)
 
 
-def build_qps(config: QpsConfig, materialize_bc: bool | None = None) -> Circuit:
+def build_qps(config: QpsConfig, materialize_bc: bool = True) -> Circuit:
     """BC, eigenvalue inversion, success flag, BC-dagger, as named stages."""
-    # BC is counting-only (matrix None) unless materialized, by default in the solve row
-    if materialize_bc is None:
-        materialize_bc = config.n <= bounds.BOUNDS[f"{config.mode} solve"][1]
+    # dense BC only in the solve row; a counting-only BC (matrix None) at any n
     if materialize_bc:
-        bounds.check("dense BC block", config.n)
+        bounds.check(f"{config.mode} solve", config.n)
     bc = Gate.block(bc_matrix(config.n) if materialize_bc else None, tuple(range(config.n)), "BC")
     layout, inversion = _inversion_gates(config)
     stages = (("bc", 1), ("inversion", len(inversion)), ("flag", 1), ("bcdag", 1))
@@ -225,7 +223,7 @@ def build_qps(config: QpsConfig, materialize_bc: bool | None = None) -> Circuit:
 
 
 def solve(config: QpsConfig, b) -> QpsSolution:
-    bounds.check(f"{config.mode} solve", config.n)
+    circuit = build_qps(config)
     rhs = _as_vector(b)
     if len(rhs) != 2**config.n - 1:
         raise ValueError(f"right-hand side must have length 2**n - 1 = {2**config.n - 1}")
@@ -240,7 +238,6 @@ def solve(config: QpsConfig, b) -> QpsSolution:
         norm = np.linalg.norm(rhs)
     b_hat = rhs / norm
 
-    circuit = build_qps(config)
     b_reg, e_reg, anc = map(circuit.register, ("B", "E", "Anc"))
 
     state = StateVector.ground(circuit.num_qubits)

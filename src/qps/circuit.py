@@ -49,6 +49,8 @@ class QubitRegister:
     offset: int
 
     def __post_init__(self):
+        if not all(isinstance(v, (int, np.integer)) for v in (self.width, self.offset)):
+            raise ValueError(f"register {self.name!r} needs an integer width and offset")
         if self.width < 1:
             raise ValueError(f"register {self.name!r} must have width >= 1")
         if self.offset < 0:
@@ -228,8 +230,8 @@ def _count_all(circuit: Circuit) -> dict[str | None, ResourceReport]:
         # islice, not a slice: a copy of the inversion stage would raise peak RSS
         for qubits, run in groupby(islice(gates, span.start, span.stop), attrgetter("qubits")):
             run = list(run)
-            if min(qubits) < 0 or max(qubits) >= width:
-                bad = [q for q in qubits if not 0 <= q < width]
+            bad = [q for q in qubits if not (isinstance(q, (int, np.integer)) and 0 <= q < width)]
+            if bad:
                 raise ValueError(f"gate {run[0].kind!r} touches out-of-range qubits {bad}")
             costs = list(map(gate_cost, run))
             cost, layers = sum(costs), len(costs)

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from . import bounds
 from .poisson import eigenvalue
 
@@ -24,8 +26,8 @@ LN2 = math.log(2.0)
 
 def odd_factor(j: int) -> tuple[int, int]:
     """(m, i) with j = 2**m * i, i odd and m maximal (the trailing-zero count)."""
-    if j < 1:
-        raise ValueError(f"index must be positive, got {j}")
+    if not isinstance(j, (int, np.integer)) or j < 1:
+        raise ValueError(f"index must be a positive integer, got {j!r}")
     m = (j & -j).bit_length() - 1
     return m, j >> m
 
@@ -41,10 +43,10 @@ def inversion_angles(n: int, j: int) -> tuple[float, ...]:
 
     The first m are the constant pi/6; the rest carry k = n-m down to 2.
     """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    if not 1 <= j <= 2**n - 1:
-        raise ValueError(f"j must be in [1, {2**n - 1}], got {j}")
+    if not isinstance(n, (int, np.integer)) or n < 2:
+        raise ValueError(f"n must be an integer >= 2, got {n!r}")
+    if not isinstance(j, (int, np.integer)) or not 1 <= j <= 2**n - 1:
+        raise ValueError(f"j must be an integer in [1, {2**n - 1}], got {j!r}")
     m, i = odd_factor(j)
     # the range is empty for j = 2**(n-1), where m = n-1
     return (math.pi / 6.0,) * m + tuple(sine_angle(k, i) for k in range(n - m, 1, -1))

@@ -43,8 +43,8 @@ class TridiagonalSystem:
     N: int
 
     def __post_init__(self):
-        if self.N < 2:
-            raise ValueError("grid count N must be >= 2")
+        if not isinstance(self.N, (int, np.integer)) or self.N < 2:
+            raise ValueError(f"grid count N must be an integer >= 2, got {self.N!r}")
 
     @property
     def scale(self) -> float:
@@ -63,8 +63,8 @@ def eigenvalue(n: int, j) -> float | np.ndarray:
     """lambda_j = 4 N^2 sin^2(j pi / 2N); a float for an int j, an array for index arrays."""
     N = 2**n
     idx = np.asarray(j)
-    if not np.all((1 <= idx) & (idx <= N - 1)):
-        raise ValueError(f"eigenvalue index j must be in [1, {N - 1}], got {j}")
+    if idx.dtype.kind not in "iu" or not np.all((1 <= idx) & (idx <= N - 1)):
+        raise ValueError(f"eigenvalue j must be an integer in [1, {N - 1}], got {j!r}")
     lam = 4.0 * N * N * np.sin(idx * np.pi / (2 * N)) ** 2
     return float(lam) if lam.ndim == 0 else lam
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qps import builder
+from qps.bounds import BOUNDS
 from qps.builder import (
     QpsConfig,
     bc_matrix,
@@ -94,11 +95,11 @@ def test_bc_is_unitary_and_matches_dst_oracle():
                 )
 
 
-DENSE_BC_N13 = r"^dense BC block supports n in \[2, 12\], got 13$"
+SERIAL_SOLVE_N13 = r"^serial solve supports n in \[2, 8\], got 13$"
 
 
 def test_build_bc_bounds():
-    with pytest.raises(ValueError, match=DENSE_BC_N13):
+    with pytest.raises(ValueError, match=SERIAL_SOLVE_N13):
         build_qps(QpsConfig(n=13), materialize_bc=True)
     lazy = _stage_gate(build_qps(QpsConfig(n=5), materialize_bc=False), "bc")
     assert lazy.matrix is None and lazy.label == "BC"
@@ -182,8 +183,8 @@ def test_qps_composition_uncomputes_bc():
         assert flag.kind == "x"
         assert flag.targets == (circ.register("Anc").qubit(0),)
         assert flag.controls == tuple((q, True) for q in circ.register("E").qubits)
-    # beyond the materializable range the BC blocks are counting-only, and
-    # the inversion stage counts as the stand-alone inversion circuit
+    # past the solve rows a counting-only build has no BC matrices, and its
+    # inversion stage counts as the stand-alone inversion circuit
     for mode in ("serial", "parallel"):
         for n in (13, 14, 15):
             config = QpsConfig(n=n, mode=mode)
@@ -193,7 +194,7 @@ def test_qps_composition_uncomputes_bc():
             assert bc.matrix is None and bcdag.matrix is None
             assert count_resources(circ, "inversion") == count_resources(
                 inversion_stage_circuit(config))
-    with pytest.raises(ValueError, match=DENSE_BC_N13):
+    with pytest.raises(ValueError, match=SERIAL_SOLVE_N13):
         build_qps(QpsConfig(n=13), materialize_bc=True)
 
 
@@ -460,24 +461,35 @@ def _fail(*args, **kwargs):
     raise AssertionError("called past an out-of-range n")
 
 
+PAST_THE_SOLVE_ROWS = [
+    (QpsConfig(n=9), r"^serial solve supports n in \[2, 8\], got 9$"),
+    (QpsConfig(n=7, mode="parallel"), r"^parallel solve supports n in \[3, 6\], got 7$"),
+]
+
+
 def test_solve_checks_its_bound_before_allocating(monkeypatch):
     monkeypatch.setattr(StateVector, "ground", _fail)
     monkeypatch.setattr(builder, "bc_matrix", _fail)
-    monkeypatch.setattr(builder, "build_qps", _fail)
-    for config, message in [
-        (QpsConfig(n=9), r"serial solve supports n in \[2, 8\], got 9"),
-        (QpsConfig(n=7, mode="parallel"), r"parallel solve supports n in \[3, 6\], got 7"),
-    ]:
+    for config, message in PAST_THE_SOLVE_ROWS:
         with pytest.raises(ValueError, match=message):
             builder.solve(config, np.ones(2**config.n - 1))
 
 
-def test_bc_stays_counting_only_past_the_solve_row(monkeypatch):
+def test_default_build_past_the_solve_row_raises_before_bc_matrix(monkeypatch):
     monkeypatch.setattr(builder, "bc_matrix", _fail)
-    circuit = build_qps(QpsConfig(n=9))
-    bc, bcdag = _stage_gate(circuit, "bc"), _stage_gate(circuit, "bcdag")
-    assert bc.label == "BC" and bc.matrix is None
-    assert bcdag.label == "BC†" and bcdag.matrix is None
+    for config, message in PAST_THE_SOLVE_ROWS:
+        with pytest.raises(ValueError, match=message):
+            build_qps(config)
+
+
+@pytest.mark.parametrize("mode", ["serial", "parallel"])
+def test_default_build_materializes_bc_in_every_solve_row(mode):
+    lo, hi = BOUNDS[f"{mode} solve"]
+    for n in range(lo, hi + 1):
+        circuit = build_qps(QpsConfig(n=n, mode=mode))
+        bc, bcdag = _stage_gate(circuit, "bc"), _stage_gate(circuit, "bcdag")
+        assert bc.matrix.shape == (2**n, 2**n)
+        assert bcdag.matrix is not None
 
 
 # SHA-256 of the solution, reference, fidelity and P_success bits of library

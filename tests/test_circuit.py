@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qps.builder import standard_registers
 from qps.circuit import (
     Circuit,
     Gate,
@@ -116,6 +117,22 @@ def test_gate_bounds_checked():
     with pytest.raises(ValueError, match=r"^gate 'ry' touches out-of-range qubits \[-1\]$"):
         Circuit(REGS, [ok, ok, Gate.ry(0.5, -1), ok], (("head", 1), ("body", 3)))
     assert Circuit(REGS, [ok]).gates == (ok,)
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: Circuit(REGS, [Gate.x(0.5)]), "gate 'x' touches out-of-range qubits [0.5]"),
+    (lambda: Circuit(REGS, [Gate.x(1, [(0.0, True)])]),
+     "gate 'x' touches out-of-range qubits [0.0]"),
+    (lambda: Circuit(REGS, [Gate.x(0), Gate.ry(0.5, (1, "2"))], (("a", 1), ("b", 1))),
+     "gate 'ry' touches out-of-range qubits ['2']"),
+    (lambda: QubitRegister("A", 2.0, 0), "register 'A' needs an integer width and offset"),
+    (lambda: QubitRegister("A", 2, 1.0), "register 'A' needs an integer width and offset"),
+    (lambda: standard_registers(2.5), "register 'B' needs an integer width and offset"),
+], ids=["target", "control", "second-stage", "width", "offset", "standard-registers"])
+def test_non_integer_qubit_or_size_rejected(make, message):
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == message
 
 
 def test_adjoint_of_rotation_negates_angle():

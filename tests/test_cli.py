@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -191,6 +192,30 @@ def test_console_script_target_runs_demo(capsys):
         target = tomllib.load(fh)["project"]["scripts"]["qps"]
     assert pkgutil.resolve_name(target)(["demo"]) == EXIT_OK
     assert capsys.readouterr().err == ""
+
+
+# each README statement of an accepted range, and the bound-table rows its
+# ranges state, in order
+README_RANGES = [
+    (r"qps solve --n (\d+)\.\.(\d+) \(parallel (\d+)\.\.(\d+)\)",
+     ("serial simulation", "parallel simulation")),
+    (r"qps verify \[--n-max (\d+)\.\.(\d+)\]", ("serial simulation",)),
+    (r"qps identities \[--n-max (\d+)\.\.(\d+)\]", ("identity residual",)),
+    (r"qps report --n (\d+)\.\.(\d+)\s", ("report",)),
+    (r"`solve` simulates end to end \(`n` (\d+)\.\.(\d+) serial,\s+(\d+)\.\.(\d+) parallel\)",
+     ("serial simulation", "parallel simulation")),
+    (r"`builder\.solve` accepts serial\s+n = (\d+)\.\.(\d+) and\s+parallel\s+n = (\d+)\.\.(\d+)",
+     ("serial solve", "parallel solve")),
+]
+
+
+@pytest.mark.parametrize("pattern,rows", README_RANGES,
+                         ids=["synopsis-solve", "synopsis-verify", "synopsis-identities",
+                              "synopsis-report", "solve-bullet", "accepted-sizes"])
+def test_readme_ranges_match_the_bound_table(pattern, rows):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    (found,) = re.findall(pattern, readme)
+    assert tuple(map(int, found)) == sum((BOUNDS[row] for row in rows), ())
 
 
 def test_bounds_imports_without_numpy():

@@ -84,6 +84,18 @@ def test_angles_rejects_out_of_range():
         inversion_angles(3, 8)
 
 
+@pytest.mark.parametrize("make,message", [
+    (lambda: odd_factor(2.0), "index must be a positive integer, got 2.0"),
+    (lambda: inversion_angles(3, 2.0), "j must be an integer in [1, 7], got 2.0"),
+    (lambda: inversion_angles(3.0, 2), "n must be an integer >= 2, got 3.0"),
+    (lambda: inversion_angles("3", 2), "n must be an integer >= 2, got '3'"),
+], ids=["odd_factor", "angles-j", "angles-n", "angles-n-str"])
+def test_non_integer_index_rejected(make, message):
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("n", range(2, 13))
 def test_inversion_identity_exhaustive(n):
     for j in range(1, 2**n):

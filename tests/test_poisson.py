@@ -62,6 +62,20 @@ def test_eigenvalue_rejects_out_of_range():
         eigenvalue(2, np.array([1, 2, 4]))
 
 
+@pytest.mark.parametrize("make,message", [
+    (lambda: eigenvalue(3, 1.5), "eigenvalue j must be an integer in [1, 7], got 1.5"),
+    (lambda: eigenvalue(3, np.array([1.5])),
+     "eigenvalue j must be an integer in [1, 7], got array([1.5])"),
+    (lambda: eigenvalue(3, "2"), "eigenvalue j must be an integer in [1, 7], got '2'"),
+    (lambda: TridiagonalSystem(N=4.0), "grid count N must be an integer >= 2, got 4.0"),
+    (lambda: TridiagonalSystem(N="4"), "grid count N must be an integer >= 2, got '4'"),
+], ids=["eigenvalue-float", "eigenvalue-float-array", "eigenvalue-str", "N-float", "N-str"])
+def test_non_integer_index_or_grid_rejected(make, message):
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_closed_form_matches_dense_eigendecomposition(n):
     A = _dense(TridiagonalSystem(N=2**n))

@@ -30,3 +30,4 @@ def test_traced_solve_counts_each_simulator_call_once(monkeypatch):
     for fn in ("apply", "inject_register", "postselect", "extract_register", "fidelity"):
         assert counts[f"simulator.calls.{fn}"] == 1, fn
     assert counts["simulator.calls"] == 5
+    assert [span[0] for span in tracer.spans].count("builder.build_qps") == 1
