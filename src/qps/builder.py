@@ -38,6 +38,7 @@ import numpy as np
 from . import bounds, identities
 from .circuit import Circuit, Gate, QubitRegister, ResourceReport, count_resources
 from .poisson import TridiagonalSystem, _as_vector, solve_classical
+from .real import is_integer
 from .simulator import StateVector, apply, extract_register, fidelity, inject_register
 
 SERIAL = "serial"
@@ -53,7 +54,7 @@ class QpsConfig:
     ry_construction: str = BITWISE
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 2:
+        if not is_integer(self.n) or self.n < 2:
             raise ValueError(f"n must be an integer >= 2, got {self.n!r}")
         if self.mode not in (SERIAL, PARALLEL):
             raise ValueError(f"mode must be 'serial' or 'parallel', got {self.mode!r}")

@@ -35,7 +35,7 @@ from operator import attrgetter, itemgetter
 
 import numpy as np
 
-from .real import as_real
+from .real import as_real, is_integer
 
 UNITARY_TOL = 1e-12
 
@@ -49,7 +49,7 @@ class QubitRegister:
     offset: int
 
     def __post_init__(self):
-        if not all(isinstance(v, (int, np.integer)) for v in (self.width, self.offset)):
+        if not (is_integer(self.width) and is_integer(self.offset)):
             raise ValueError(f"register {self.name!r} needs an integer width and offset")
         if self.width < 1:
             raise ValueError(f"register {self.name!r} must have width >= 1")
@@ -116,10 +116,9 @@ class Gate:
 
     @classmethod
     def ry(cls, angle: float, targets, controls=()) -> "Gate":
-        if isinstance(targets, int):
-            targets = (targets,)
-        return cls(kind="ry", targets=tuple(targets), controls=tuple(controls),
-                   angle=float(angle))
+        if not isinstance(targets, tuple):  # the builder's pairs skip the integer test
+            targets = (targets,) if is_integer(targets) else tuple(targets)
+        return cls(kind="ry", targets=targets, controls=tuple(controls), angle=float(angle))
 
     @classmethod
     def x(cls, target: int, controls=()) -> "Gate":
@@ -230,7 +229,7 @@ def _count_all(circuit: Circuit) -> dict[str | None, ResourceReport]:
         # islice, not a slice: a copy of the inversion stage would raise peak RSS
         for qubits, run in groupby(islice(gates, span.start, span.stop), attrgetter("qubits")):
             run = list(run)
-            bad = [q for q in qubits if not (isinstance(q, (int, np.integer)) and 0 <= q < width)]
+            bad = [q for q in qubits if not (is_integer(q) and 0 <= q < width)]
             if bad:
                 raise ValueError(f"gate {run[0].kind!r} touches out-of-range qubits {bad}")
             costs = list(map(gate_cost, run))

@@ -20,13 +20,14 @@ import numpy as np
 
 from . import bounds
 from .poisson import eigenvalue
+from .real import is_integer
 
 LN2 = math.log(2.0)
 
 
 def odd_factor(j: int) -> tuple[int, int]:
     """(m, i) with j = 2**m * i, i odd and m maximal (the trailing-zero count)."""
-    if not isinstance(j, (int, np.integer)) or j < 1:
+    if not is_integer(j) or j < 1:
         raise ValueError(f"index must be a positive integer, got {j!r}")
     m = (j & -j).bit_length() - 1
     return m, j >> m
@@ -43,9 +44,9 @@ def inversion_angles(n: int, j: int) -> tuple[float, ...]:
 
     The first m are the constant pi/6; the rest carry k = n-m down to 2.
     """
-    if not isinstance(n, (int, np.integer)) or n < 2:
+    if not is_integer(n) or n < 2:
         raise ValueError(f"n must be an integer >= 2, got {n!r}")
-    if not isinstance(j, (int, np.integer)) or not 1 <= j <= 2**n - 1:
+    if not is_integer(j) or not 1 <= j <= 2**n - 1:
         raise ValueError(f"j must be an integer in [1, {2**n - 1}], got {j!r}")
     m, i = odd_factor(j)
     # the range is empty for j = 2**(n-1), where m = n-1
@@ -61,13 +62,18 @@ def inversion_value(angles: tuple[float, ...]) -> float:
 
 
 def inversion_identity_error(n: int) -> float:
-    """Max over j of the relative error |value - 8/lambda_j| / (8/lambda_j)."""
+    """Max over j of |value - 8/lambda_j| / (8/lambda_j), per module in inversion_value's order."""
     bounds.check("inversion identity", n)
-    worst = 0.0
-    targets = 8.0 / eigenvalue(n, range(1, 2**n))
-    for j, target in enumerate(targets.tolist(), start=1):
-        got = inversion_value(inversion_angles(n, j))
-        worst = max(worst, abs(got - target) / target)
+    targets = 8.0 / eigenvalue(n, np.arange(1, 2**n))
+    worst, head = 0.0, 1.0
+    for m in range(n):
+        i = np.arange(1, 2 ** (n - m), 2)
+        p = np.full(len(i), head)
+        for k in range(n - m, 1, -1):
+            p *= np.sin(sine_angle(k, i))
+        target = targets[(i << m) - 1]
+        worst = max(worst, float(np.max(np.abs(p * p - target) / target)))
+        head *= math.sin(math.pi / 6.0)
     return worst
 
 

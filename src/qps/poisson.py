@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .real import as_real
+from .real import as_real, is_integer
 
 EPS = float(np.finfo(float).eps)
 # backward-error bound of the Thomas solve; correct solves measured below 0.4 eps at n <= 20
@@ -30,6 +30,12 @@ def _as_vector(b) -> np.ndarray:
     return v
 
 
+def _grid_size(n) -> int:
+    if not (is_integer(n) and n >= 1):
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    return 2**n
+
+
 def _finite(v: np.ndarray, solver: str) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise RuntimeError(f"{solver} overflowed to a non-finite entry")
@@ -43,7 +49,7 @@ class TridiagonalSystem:
     N: int
 
     def __post_init__(self):
-        if not isinstance(self.N, (int, np.integer)) or self.N < 2:
+        if not is_integer(self.N) or self.N < 2:
             raise ValueError(f"grid count N must be an integer >= 2, got {self.N!r}")
 
     @property
@@ -61,7 +67,7 @@ class TridiagonalSystem:
 
 def eigenvalue(n: int, j) -> float | np.ndarray:
     """lambda_j = 4 N^2 sin^2(j pi / 2N); a float for an int j, an array for index arrays."""
-    N = 2**n
+    N = _grid_size(n)
     idx = np.asarray(j)
     if idx.dtype.kind not in "iu" or not np.all((1 <= idx) & (idx <= N - 1)):
         raise ValueError(f"eigenvalue j must be an integer in [1, {N - 1}], got {j!r}")
@@ -122,13 +128,13 @@ def _check_residual(system: TridiagonalSystem, v: np.ndarray, rhs: np.ndarray) -
 
 def condition_number(n: int) -> float:
     """cond(A) = lambda_{N-1} / lambda_1 = cot^2(pi / 2N)."""
-    return 1.0 / math.tan(math.pi / 2 ** (n + 1)) ** 2
+    return 1.0 / math.tan(math.pi / (2 * _grid_size(n))) ** 2
 
 
 def spectral_solve(n: int, b) -> np.ndarray:
     """A^-1 b as sum_j (beta_j / lambda_j) u_j; independent of solve_classical."""
     v = _as_vector(b)
-    N = 2**n
+    N = _grid_size(n)
     if len(v) != N - 1:
         raise ValueError(f"b must have length {N - 1}")
     return _finite(dst(dst(v) / eigenvalue(n, np.arange(1, N))), "spectral solve")
@@ -169,7 +175,7 @@ PRESETS = {
 
 
 def grid_points(n: int) -> np.ndarray:
-    N = 2**n
+    N = _grid_size(n)
     return np.arange(1, N) / N
 
 

@@ -1,6 +1,11 @@
-"""The one conversion of caller input to float64: every gate and state is real."""
+"""The two checks of caller input: what is an integer, and the one conversion to float64."""
 
 import numpy as np
+
+
+def is_integer(value) -> bool:
+    """True for a Python or numpy integer; a bool is not an integer."""
+    return type(value) is not bool and isinstance(value, (int, np.integer))
 
 
 def as_real(values, what: str) -> np.ndarray:

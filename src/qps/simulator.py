@@ -25,13 +25,12 @@ No check or readout copies the state: `inject_register` needs exact zeros off
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .circuit import Circuit, Gate, QubitRegister
-from .real import as_real
+from .real import as_real, is_integer
 
 NORM_TOL = 1e-12
 POSTSELECT_FLOOR = 1e-12
@@ -167,7 +166,7 @@ def postselect(state: StateVector, qubits, outcome) -> PostselectResult:
     if len(qubits) != len(outcome):
         raise ValueError("qubits and outcome bits must align")
     q = state.num_qubits
-    if not all(isinstance(t, numbers.Integral) for t in qubits):
+    if not all(map(is_integer, qubits)):
         raise ValueError(f"qubits must be integers, got {qubits}")
     bad = [t for t in qubits if not 0 <= t < q]
     if bad:
@@ -200,7 +199,7 @@ def extract_register(state: StateVector, register: QubitRegister, fixed, flag) -
     controls = []
     covered = set(register.qubits)
     for reg, value in fixed.items():
-        if not isinstance(value, numbers.Integral):
+        if not is_integer(value):
             raise ValueError(f"value {value} for register {reg.name!r} is not an integer")
         if not 0 <= value < 2**reg.width:
             raise ValueError(f"value {value} out of range for register {reg.name!r}")

@@ -128,11 +128,22 @@ def test_gate_bounds_checked():
     (lambda: QubitRegister("A", 2.0, 0), "register 'A' needs an integer width and offset"),
     (lambda: QubitRegister("A", 2, 1.0), "register 'A' needs an integer width and offset"),
     (lambda: standard_registers(2.5), "register 'B' needs an integer width and offset"),
-], ids=["target", "control", "second-stage", "width", "offset", "standard-registers"])
+    (lambda: Circuit(REGS, [Gate.x(True)]), "gate 'x' touches out-of-range qubits [True]"),
+    (lambda: Circuit(REGS, [Gate.ry(0.5, (0, True))]),
+     "gate 'ry' touches out-of-range qubits [True]"),
+    (lambda: QubitRegister("A", True, 0), "register 'A' needs an integer width and offset"),
+], ids=["target", "control", "second-stage", "width", "offset", "standard-registers",
+        "bool-target", "bool-pair", "bool-width"])
 def test_non_integer_qubit_or_size_rejected(make, message):
     with pytest.raises(ValueError) as exc:
         make()
     assert str(exc.value) == message
+
+
+def test_numpy_integer_qubits_accepted():
+    gate = Gate.ry(0.5, np.int64(1), controls=((np.int32(0), True),))
+    assert gate.targets == (1,)
+    assert Circuit((QubitRegister("A", np.int64(2), np.int32(0)),), [gate]).gates == (gate,)
 
 
 def test_adjoint_of_rotation_negates_angle():

@@ -178,7 +178,7 @@ def test_cli_rejects_n_outside_its_row(capsys, monkeypatch, argv, row, n):
     (lambda n: bounds.check("report", n), "report"),
 ], ids=["identity_rows", "checks", "inversion_identity_error", "sine_formula_residual",
         "check"])
-@pytest.mark.parametrize("n", [3.0, 2.5, "3", None])
+@pytest.mark.parametrize("n", [3.0, 2.5, "3", None, True])
 def test_non_integer_n_rejected_by_its_row(call, row, n):
     with pytest.raises(ValueError) as exc:
         call(n)
@@ -206,12 +206,14 @@ README_RANGES = [
      ("serial simulation", "parallel simulation")),
     (r"`builder\.solve` accepts serial\s+n = (\d+)\.\.(\d+) and\s+parallel\s+n = (\d+)\.\.(\d+)",
      ("serial solve", "parallel solve")),
+    (r"The inversion identity row\s+accepts n = (\d+)\.\.(\d+)", ("inversion identity",)),
 ]
 
 
 @pytest.mark.parametrize("pattern,rows", README_RANGES,
                          ids=["synopsis-solve", "synopsis-verify", "synopsis-identities",
-                              "synopsis-report", "solve-bullet", "accepted-sizes"])
+                              "synopsis-report", "solve-bullet", "accepted-sizes",
+                              "inversion-identity"])
 def test_readme_ranges_match_the_bound_table(pattern, rows):
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     (found,) = re.findall(pattern, readme)
@@ -225,6 +227,17 @@ def test_bounds_imports_without_numpy():
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                             check=True, env={**os.environ, "PYTHONPATH": str(src)})
     assert result.stdout == "False\n"
+
+
+def test_integer_rule_lives_only_in_real():
+    # qps.real.is_integer is the one answer; no other module restates it
+    restated = re.compile(r"numbers\.Integral|np\.integer|isinstance\([^,]+,\s*\(?int\b")
+    src = Path(__file__).resolve().parent.parent / "src" / "qps"
+    found = [f"{path.name}:{number}: {line.strip()}"
+             for path in sorted(src.glob("*.py")) if path.name != "real.py"
+             for number, line in enumerate(path.read_text().splitlines(), start=1)
+             if restated.search(line)]
+    assert found == []
 
 
 def _edit_gates(monkeypatch, name, edit):

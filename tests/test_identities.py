@@ -12,7 +12,7 @@ from qps.identities import (
     odd_layer_residual,
     sine_formula_residual,
 )
-from qps.poisson import eigenvalue
+from qps.poisson import EPS, eigenvalue
 
 
 def test_odd_factor_examples():
@@ -89,7 +89,9 @@ def test_angles_rejects_out_of_range():
     (lambda: inversion_angles(3, 2.0), "j must be an integer in [1, 7], got 2.0"),
     (lambda: inversion_angles(3.0, 2), "n must be an integer >= 2, got 3.0"),
     (lambda: inversion_angles("3", 2), "n must be an integer >= 2, got '3'"),
-], ids=["odd_factor", "angles-j", "angles-n", "angles-n-str"])
+    (lambda: odd_factor(True), "index must be a positive integer, got True"),
+    (lambda: inversion_angles(3, True), "j must be an integer in [1, 7], got True"),
+], ids=["odd_factor", "angles-j", "angles-n", "angles-n-str", "odd_factor-bool", "angles-j-bool"])
 def test_non_integer_index_rejected(make, message):
     with pytest.raises(ValueError) as exc:
         make()
@@ -143,8 +145,27 @@ def test_residual_rejects_out_of_range():
         odd_layer_residual(15)
 
 
+def _per_j_error(n):
+    """The identity error one j at a time, through inversion_angles and inversion_value."""
+    worst = 0.0
+    targets = 8.0 / eigenvalue(n, range(1, 2**n))
+    for j, target in enumerate(targets.tolist(), start=1):
+        worst = max(worst, abs(inversion_value(inversion_angles(n, j)) - target) / target)
+    return worst
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_inversion_identity_error_equals_the_per_j_loop(n):
+    assert inversion_identity_error(n) == _per_j_error(n)
+
+
+@pytest.mark.parametrize("n", [13, 16, 20])
+def test_inversion_identity_error_holds_to_n20(n):
+    assert inversion_identity_error(n) <= 2 * n * EPS
+
+
 def test_inversion_identity_error_rejects_out_of_range():
-    with pytest.raises(ValueError, match=r"inversion identity supports n in \[2, 12\], got 13"):
-        inversion_identity_error(13)
+    with pytest.raises(ValueError, match=r"inversion identity supports n in \[2, 20\], got 21"):
+        inversion_identity_error(21)
     with pytest.raises(ValueError):
         inversion_identity_error(1)

@@ -69,11 +69,29 @@ def test_eigenvalue_rejects_out_of_range():
     (lambda: eigenvalue(3, "2"), "eigenvalue j must be an integer in [1, 7], got '2'"),
     (lambda: TridiagonalSystem(N=4.0), "grid count N must be an integer >= 2, got 4.0"),
     (lambda: TridiagonalSystem(N="4"), "grid count N must be an integer >= 2, got '4'"),
-], ids=["eigenvalue-float", "eigenvalue-float-array", "eigenvalue-str", "N-float", "N-str"])
+    (lambda: eigenvalue(True, 1), "n must be an integer >= 1, got True"),
+], ids=["eigenvalue-float", "eigenvalue-float-array", "eigenvalue-str", "N-float", "N-str",
+        "eigenvalue-bool-n"])
 def test_non_integer_index_or_grid_rejected(make, message):
     with pytest.raises(ValueError) as exc:
         make()
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("call", [
+    lambda n: eigenvalue(n, 1),
+    poisson.grid_points,
+    poisson.condition_number,
+    lambda n: spectral_solve(n, np.ones(7)),
+    lambda n: preset_rhs("sin", n),
+    lambda n: preset_solution("sin", n),
+], ids=["eigenvalue", "grid_points", "condition_number", "spectral_solve", "preset_rhs",
+        "preset_solution"])
+@pytest.mark.parametrize("n", [2.5, 3.0, "3", None, True, 0])
+def test_every_grid_size_is_checked(call, n):
+    with pytest.raises(ValueError) as exc:
+        call(n)
+    assert str(exc.value) == f"n must be an integer >= 1, got {n!r}"
 
 
 @pytest.mark.parametrize("n", range(2, 9))

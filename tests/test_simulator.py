@@ -450,18 +450,21 @@ _MIXED = StateVector(3, [0.8, 0.6, 0, 0, 0, 0, 0, 0])
     (lambda: postselect(_MIXED, [0, 0], [1, 0]), r"qubits \[0, 0\] repeat"),
     (lambda: postselect(_MIXED, [0], [2]), r"outcome bits must be 0 or 1, got \[2\]"),
     (lambda: postselect(_MIXED, [2.0], [1]), r"qubits must be integers, got \[2.0\]"),
+    (lambda: postselect(_MIXED, [True], [0]), r"qubits must be integers, got \[True\]"),
     (lambda: extract_register(StateVector(4, np.eye(16)[1]), A, {A: 1, B: 0}, B),
      "fixed register 'A' overlaps another register"),
     (lambda: extract_register(StateVector(4, np.eye(16)[12]), A, {B: 3.0}, B),
      "value 3.0 for register 'B' is not an integer"),
     (lambda: extract_register(StateVector(4, np.eye(16)[12]), A, {B: np.float64(3)}, B),
      "value 3.0 for register 'B' is not an integer"),
+    (lambda: extract_register(StateVector(4, np.eye(16)[12]), A, {B: True}, B),
+     "value True for register 'B' is not an integer"),
     (lambda: extract_register(StateVector(4, np.eye(16)[12]), A, {B: 3}, A),
      "flag register 'A' is not a fixed register"),
     (lambda: inject_register(StateVector.ground(3), B, [1, 0, 0, 0]),
      "register 'B' lies outside the 3-qubit state"),
-], ids=["past", "negative", "repeated", "bit-2", "float-qubit", "read-and-fixed",
-        "float-value", "numpy-float-value", "flag-not-fixed", "inject-past"])
+], ids=["past", "negative", "repeated", "bit-2", "float-qubit", "bool-qubit", "read-and-fixed",
+        "float-value", "numpy-float-value", "bool-value", "flag-not-fixed", "inject-past"])
 def test_readout_rejects_addresses_it_cannot_honour(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
