@@ -37,7 +37,7 @@ import numpy as np
 
 from . import bounds, identities
 from .circuit import Circuit, Gate, QubitRegister, ResourceReport, count_resources
-from .poisson import TridiagonalSystem, _as_vector, solve_classical
+from .poisson import TridiagonalSystem, _as_vector, _grid_size, solve_classical
 from .real import is_integer
 from .simulator import StateVector, apply, extract_register, fidelity, inject_register
 
@@ -81,6 +81,8 @@ def standard_registers(n: int, parallel: bool = False) -> tuple[QubitRegister, .
     Totals 3n qubits serial and 4n-2 parallel.  BCaux is the inert
     embedding qubit of the basis-conversion accounting.
     """
+    if not (is_integer(n) and n >= 2):
+        raise ValueError(f"n must be an integer >= 2, got {n!r}")
     regs = [
         QubitRegister("B", n, 0),
         QubitRegister("E", 2 * n - 2, n),
@@ -94,7 +96,7 @@ def standard_registers(n: int, parallel: bool = False) -> tuple[QubitRegister, .
 
 def bc_matrix(n: int) -> np.ndarray:
     """Basis-conversion orthogonal matrix: rows 1..N-1 are the eigenvectors, row 0 = e_0."""
-    N = 2**n
+    N = _grid_size(n)
     M = np.zeros((N, N))
     M[0, 0] = 1.0
     idx = np.arange(1, N)
@@ -241,9 +243,9 @@ def solve(config: QpsConfig, b) -> QpsSolution:
 
     b_reg, e_reg, anc = map(circuit.register, ("B", "E", "Anc"))
 
-    state = StateVector.ground(circuit.num_qubits)
-    state = inject_register(state, b_reg, np.concatenate(([0.0], b_hat)))
-    state = apply(state, circuit)
+    # no name holds the ground or the injected state, so apply frees its input
+    state = apply(inject_register(StateVector.ground(circuit.num_qubits), b_reg,
+                                  np.concatenate(([0.0], b_hat))), circuit)
 
     fixed = {r: 0 for r in circuit.registers if r != b_reg} | {e_reg: 2**e_reg.width - 1, anc: 1}
     probability, vec = extract_register(state, b_reg, fixed, anc)

@@ -117,11 +117,15 @@ class Gate:
     @classmethod
     def ry(cls, angle: float, targets, controls=()) -> "Gate":
         if not isinstance(targets, tuple):  # the builder's pairs skip the integer test
-            targets = (targets,) if is_integer(targets) else tuple(targets)
+            if not is_integer(targets):
+                raise ValueError(f"ry target must be an integer or a tuple, got {targets!r}")
+            targets = (targets,)
         return cls(kind="ry", targets=targets, controls=tuple(controls), angle=float(angle))
 
     @classmethod
     def x(cls, target: int, controls=()) -> "Gate":
+        if not is_integer(target):
+            raise ValueError(f"x target must be an integer, got {target!r}")
         return cls(kind="x", targets=(target,), controls=tuple(controls))
 
     @classmethod

@@ -195,7 +195,7 @@ def truncation_study(preset: str = "sin", n_list=range(3, 9)) -> list[tuple[int,
     """Max-norm FD error against the analytic solution, one row per n."""
     rows = []
     for n in n_list:
-        system = TridiagonalSystem(N=2**n)
+        system = TridiagonalSystem(N=_grid_size(n))
         v = solve_classical(system, preset_rhs(preset, n))
         err = float(np.max(np.abs(v - preset_solution(preset, n))))
         rows.append((int(n), err))

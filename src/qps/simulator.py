@@ -13,13 +13,17 @@ control-indexed view, bit-identically for a fixed BLAS thread count.
 
 `apply` first indexes away every idle qubit, one that no gate targets or
 controls, whose |1> half of the amplitudes is exactly zero (no tolerance);
-an idle qubit at |1> or in superposition is simulated in full.  The gates
-run on the remaining view of the same array, so a solve's BCaux ancilla at
-|0> halves the work, and the zero half comes back untouched in the full
-2**q output.
+an idle qubit at |1> or in superposition is simulated in full.  Only the
+kept subspace is copied into a new zeroed array, so a solve's BCaux ancilla
+at |0> halves the work and the skipped half comes back as +0.0.  `apply`
+never writes its input and drops it before the first gate, so a caller that
+keeps no name on the input (`builder.solve`) holds one state-sized array
+while the gates run; on CPython 3.10, whose caller keeps call arguments
+alive, only that saving shrinks.
 
 No check or readout copies the state: `inject_register` needs exact zeros off
-|0...0>, `postselect` returns a probability P, `extract_register` (P, vector).
+|0...0> and writes only the rows it loads, `postselect` returns a probability
+P, `extract_register` (P, vector).
 """
 
 from __future__ import annotations
@@ -119,8 +123,7 @@ def apply(state: StateVector, circuit: Circuit) -> StateVector:
             f"circuit acts on {circuit.num_qubits} qubits, state has {state.num_qubits}"
         )
     q = state.num_qubits
-    amps = state.amplitudes.copy()
-    tensor = amps.reshape((2,) * q)
+    tensor = state.tensor()
     # index away each idle qubit whose |1> half is exactly zero
     touched = {t for gate in circuit.gates for t in gate.qubits}
     fixed = {}
@@ -128,7 +131,12 @@ def apply(state: StateVector, circuit: Circuit) -> StateVector:
         if t not in touched and not tensor[_select(q, [*fixed.items(), (t, True)])].any():
             fixed[t] = False
     kept = [t for t in reversed(range(q)) if t not in fixed]
-    view = tensor[_select(q, fixed.items())]
+    # the trailing ... keeps a 0-d view when every qubit is idle
+    select = (*_select(q, fixed.items()), ...)
+    amps = np.zeros(2**q)
+    view = amps.reshape((2,) * q)[select]
+    view[...] = tensor[select]
+    del state, tensor
     axis = {t: a for a, t in enumerate(kept)}
     for gate in circuit.gates:
         _apply_gate(view, axis, gate)
@@ -156,7 +164,9 @@ def inject_register(state: StateVector, register: QubitRegister, amplitudes) -> 
     view = state.amplitudes.reshape(-1, 2**register.width, 2**register.offset)
     if view[:, 1:, :].any():
         raise ValueError(f"register {register.name!r} is not in its ground state")
-    new = view[:, :1, :] * target[:, None]
+    new = np.zeros(view.shape)
+    outer, inner = np.nonzero(view[:, 0, :])
+    new[outer, :, inner] = view[outer, 0, inner][:, None] * target
     return StateVector(state.num_qubits, new.reshape(-1))
 
 

@@ -95,6 +95,22 @@ def test_bc_is_unitary_and_matches_dst_oracle():
                 )
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: bc_matrix(True), "n must be an integer >= 1, got True"),
+    (lambda: bc_matrix(2.5), "n must be an integer >= 1, got 2.5"),
+    (lambda: bc_matrix(np.float64(3)), f"n must be an integer >= 1, got {np.float64(3)!r}"),
+    (lambda: bc_matrix(0), "n must be an integer >= 1, got 0"),
+    (lambda: standard_registers(True), "n must be an integer >= 2, got True"),
+    (lambda: standard_registers(2.5, parallel=True), "n must be an integer >= 2, got 2.5"),
+    (lambda: standard_registers(1), "n must be an integer >= 2, got 1"),
+], ids=["bc-bool", "bc-float", "bc-numpy-float", "bc-zero", "registers-bool",
+        "registers-float", "registers-one"])
+def test_bc_matrix_and_registers_name_a_bad_n(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 SERIAL_SOLVE_N13 = r"^serial solve supports n in \[2, 8\], got 13$"
 
 

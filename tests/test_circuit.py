@@ -120,20 +120,23 @@ def test_gate_bounds_checked():
 
 
 @pytest.mark.parametrize("make,message", [
-    (lambda: Circuit(REGS, [Gate.x(0.5)]), "gate 'x' touches out-of-range qubits [0.5]"),
+    (lambda: Circuit(REGS, [Gate.x(0.5)]), "x target must be an integer, got 0.5"),
     (lambda: Circuit(REGS, [Gate.x(1, [(0.0, True)])]),
      "gate 'x' touches out-of-range qubits [0.0]"),
     (lambda: Circuit(REGS, [Gate.x(0), Gate.ry(0.5, (1, "2"))], (("a", 1), ("b", 1))),
      "gate 'ry' touches out-of-range qubits ['2']"),
     (lambda: QubitRegister("A", 2.0, 0), "register 'A' needs an integer width and offset"),
     (lambda: QubitRegister("A", 2, 1.0), "register 'A' needs an integer width and offset"),
-    (lambda: standard_registers(2.5), "register 'B' needs an integer width and offset"),
-    (lambda: Circuit(REGS, [Gate.x(True)]), "gate 'x' touches out-of-range qubits [True]"),
+    (lambda: standard_registers(2.5), "n must be an integer >= 2, got 2.5"),
+    (lambda: Circuit(REGS, [Gate.x(True)]), "x target must be an integer, got True"),
     (lambda: Circuit(REGS, [Gate.ry(0.5, (0, True))]),
      "gate 'ry' touches out-of-range qubits [True]"),
     (lambda: QubitRegister("A", True, 0), "register 'A' needs an integer width and offset"),
+    (lambda: Gate.x(2.0), "x target must be an integer, got 2.0"),
+    (lambda: Gate.ry(0.1, True), "ry target must be an integer or a tuple, got True"),
+    (lambda: Gate.ry(0.1, 2.0), "ry target must be an integer or a tuple, got 2.0"),
 ], ids=["target", "control", "second-stage", "width", "offset", "standard-registers",
-        "bool-target", "bool-pair", "bool-width"])
+        "bool-target", "bool-pair", "bool-width", "x-float", "ry-bool", "ry-float"])
 def test_non_integer_qubit_or_size_rejected(make, message):
     with pytest.raises(ValueError) as exc:
         make()

@@ -315,6 +315,13 @@ def test_truncation_exact_for_quartic_free_solutions():
             assert err <= 1e-12
 
 
+@pytest.mark.parametrize("bad", [2.5, 0])
+def test_truncation_study_blames_n(bad):
+    with pytest.raises(ValueError) as exc:
+        truncation_study(n_list=[3, bad])
+    assert str(exc.value) == f"n must be an integer >= 1, got {bad!r}"
+
+
 def test_truncation_zero_rhs_is_exact():
     system = TridiagonalSystem(N=16)
     v = solve_classical(system, np.zeros(15))

@@ -1,7 +1,11 @@
 import functools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -249,6 +253,68 @@ def test_apply_peak_memory_on_a_solve_circuit():
         tracemalloc.stop()
     # a 2 MiB state; 4.03 MiB while the all-zero BCaux half went through every gate
     assert peak < 3.5 * 2**20
+
+
+NEEDS_ARGUMENT_HANDOVER = pytest.mark.skipif(
+    sys.version_info < (3, 11), reason="the callee frame takes over call arguments from 3.11")
+
+
+@NEEDS_ARGUMENT_HANDOVER
+def test_inject_then_apply_holds_one_state_while_the_gates_run():
+    circuit = build_qps(QpsConfig(n=6))
+    b = np.random.default_rng(3).standard_normal(2**6)
+    b[0] = 0.0
+    q, b_reg = circuit.num_qubits, circuit.register("B")
+    tracemalloc.start()
+    try:
+        out = apply(inject_register(StateVector.ground(q), b_reg, b), circuit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the output plus the BC block's two half-state temporaries; 2.52x while
+    # apply copied an input its caller still held
+    assert peak < 2.25 * out.amplitudes.nbytes
+
+
+@NEEDS_ARGUMENT_HANDOVER
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_serial_n7_solve_grows_rss_by_about_one_state():
+    # a fresh process reads its own peak RSS (VmHWM, in KiB); its ru_maxrss
+    # would start at the peak of the pytest process that spawned it
+    probe = """
+import numpy as np
+from qps.builder import QpsConfig, solve
+def peak():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+rng = np.random.default_rng(1)
+solve(QpsConfig(3), rng.standard_normal(7))
+before = peak()
+solve(QpsConfig(7), rng.standard_normal(127))
+print(peak() - before)
+"""
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    state_kib = 2**21 * 8 // 1024
+    # about 1.1x; 2.53x while the ground, injected and copied states overlapped
+    assert int(result.stdout) < 1.5 * state_kib
+
+
+def test_inject_writes_the_full_product_bit_for_bit():
+    rng = np.random.default_rng(43)
+    a, b = rng.standard_normal(4), rng.standard_normal(4)
+    a[1] = 0.0  # a zero row of the input, which inject_register skips
+    b[2] = -abs(b[2])  # so the full product would write -0.0 into that row
+    state = inject_register(StateVector.ground(4), A, a)
+    out = inject_register(state, B, b).amplitudes
+    view = state.amplitudes.reshape(-1, 2**B.width, 2**B.offset)
+    full = (view[:, :1, :] * (b / np.linalg.norm(b))[:, None]).reshape(-1)
+    written = full != 0.0
+    assert np.array_equal(out[written], full[written])
+    assert np.signbit(full[~written]).any()
+    # every entry the product leaves at zero is +0.0, never -0.0
+    assert not out[~written].any() and not np.signbit(out[~written]).any()
 
 
 def test_solve_readout_peak_memory():

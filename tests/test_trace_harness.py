@@ -25,6 +25,12 @@ def test_traced_solve_counts_each_simulator_call_once(monkeypatch):
         result = builder.solve(QpsConfig(n=3), b)
     assert result.fidelity >= 1 - 1e-10
     state, circuit, whole = tracer.captured
+    # apply never writes its input: the captured state still holds the
+    # injected right-hand side, byte for byte, so staged_apply can re-run it
+    injected = simulator.inject_register(simulator.StateVector.ground(circuit.num_qubits),
+                                         circuit.register("B"),
+                                         np.concatenate(([0.0], b / np.linalg.norm(b))))
+    assert state.amplitudes.tobytes() == injected.amplitudes.tobytes()
     assert set(tracing.staged_apply(state, circuit, whole, simulator.apply)) == set(tracing.STAGES)
     counts = tracer.op_counts()[1]
     for fn in ("apply", "inject_register", "postselect", "extract_register", "fidelity"):
