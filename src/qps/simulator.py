@@ -11,25 +11,27 @@ an input with a nonzero imaginary part is rejected.  Each gate is lowered to
 one small matrix over its targets and applied by one BLAS matmul on the
 control-indexed view, bit-identically for a fixed BLAS thread count.
 
-`apply` first indexes away every idle qubit, one that no gate targets or
-controls, whose |1> half of the amplitudes is exactly zero (no tolerance);
-an idle qubit at |1> or in superposition is simulated in full.  Only the
-kept subspace is copied into a new zeroed array, so a solve's BCaux ancilla
-at |0> halves the work and the skipped half comes back as +0.0.  `apply`
-never writes its input and drops it before the first gate, so a caller that
-keeps no name on the input (`builder.solve`) holds one state-sized array
-while the gates run; on CPython 3.10, whose caller keeps call arguments
-alive, only that saving shrinks.
+`apply` never writes its input.  It indexes away each idle qubit (one that no
+gate targets or controls) whose |1> half is exactly zero, copies only the kept
+subspace into a new zeroed array and drops the input before the first gate:
+a solve's |0> BCaux halves the work, the skipped half comes back as +0.0, and
+a caller with no name on the input (`builder.solve`) holds one state-sized
+array while the gates run (from CPython 3.11).
 
-No check or readout copies the state: `inject_register` needs exact zeros off
-|0...0> and writes only the rows it loads, `postselect` returns a probability
-P, `extract_register` (P, vector).
+It tracks each qubit that only X gates target and some gate reads at |1>, from
+|0> on the kept input: an X with controls Q makes it [Q], the X with the same Q
+makes it |0>, another X on it or a gate on a qubit of Q forgets it.  A gate with
+a positive control on it is skipped at |0>; at [Q] it gains Q's pairs off its
+targets as controls (or is skipped if they contradict its own), bit-identically.
+
+No check or readout copies the state: `inject_register` writes only the rows
+it loads, `postselect` returns P and `extract_register` (P, vector).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -91,17 +93,16 @@ def _select(num_qubits: int, assignment) -> tuple:
 def _gate_matrix(gate: Gate) -> np.ndarray:
     """The gate as one small matrix over its targets, most significant first."""
     if gate.kind == "ry":
-        c = math.cos(gate.angle / 2.0)
-        s = math.sin(gate.angle / 2.0)
+        c, s = math.cos(gate.angle / 2.0), math.sin(gate.angle / 2.0)
         rotation = np.array([[c, -s], [s, c]])
-        # a two-target pair has equal angles, so the target order is immaterial
-        return rotation if len(gate.targets) == 1 else np.kron(rotation, rotation)
+        # a two-target pair has equal angles, so the target order is immaterial;
+        # this broadcast forms np.kron's products without its per-call overhead
+        pair = rotation[:, None, :, None] * rotation[None, :, None, :]
+        return rotation if len(gate.targets) == 1 else pair.reshape(4, 4)
     if gate.kind == "x":
         return np.array([[0.0, 1.0], [1.0, 0.0]])
     if gate.matrix is None:
-        raise ValueError(
-            f"block gate {gate.label!r} has no matrix; counting-only circuit"
-        )
+        raise ValueError(f"block gate {gate.label!r} has no matrix; counting-only circuit")
     return gate.matrix
 
 
@@ -117,19 +118,45 @@ def _apply_gate(tensor: np.ndarray, axis: dict[int, int], gate: Gate):
     sub[...] = (matrix @ flat).reshape(sub.shape)
 
 
+def _zero_qubits(tensor: np.ndarray, qubits, fixed=()) -> dict[int, bool]:
+    """Each of qubits whose |1> half is exactly zero, given fixed and those found at |0>."""
+    zero = {}
+    for t in qubits:
+        if not tensor[_select(tensor.ndim, [*fixed, *zero.items(), (t, True)])].any():
+            zero[t] = False
+    return zero
+
+
+def _widen(gate: Gate, value: dict, kept: int) -> Gate | None:
+    """gate under the controls its tracked controls imply; None where it cannot fire."""
+    known = [value.get(c) for c, bit in gate.controls if bit]
+    if False in known:
+        return None
+    implied = {c: bit for pattern in known if pattern for c, bit in pattern}
+    own = dict(gate.controls)
+    if any(own.get(c, bit) != bit for c, bit in implied.items()):
+        return None
+    more = tuple((c, bit) for c, bit in implied.items() if c not in own and c not in gate.targets)
+    # leave one qubit free: numpy runs a one-column product as gemv, whose bits differ
+    more = more[:max(kept - 1 - len(gate.targets) - len(own), 0)]
+    return replace(gate, controls=gate.controls + more) if more and gate.kind != "block" else gate
+
+
 def apply(state: StateVector, circuit: Circuit) -> StateVector:
     if circuit.num_qubits != state.num_qubits:
         raise ValueError(
             f"circuit acts on {circuit.num_qubits} qubits, state has {state.num_qubits}"
         )
-    q = state.num_qubits
+    q, gates = state.num_qubits, circuit.gates
     tensor = state.tensor()
     # index away each idle qubit whose |1> half is exactly zero
-    touched = {t for gate in circuit.gates for t in gate.qubits}
-    fixed = {}
-    for t in range(q):
-        if t not in touched and not tensor[_select(q, [*fixed.items(), (t, True)])].any():
-            fixed[t] = False
+    touched = {t for gate in gates for t in gate.qubits}
+    fixed = _zero_qubits(tensor, (t for t in range(q) if t not in touched))
+    # value: False while a tracked qubit is |0>, the X's controls Q while it is [Q]
+    tracked = (({g.targets[0] for g in gates if g.kind == "x"}
+                - {t for g in gates if g.kind != "x" for t in g.targets})
+               & {c for g in gates for c, bit in g.controls if bit})
+    value, read = _zero_qubits(tensor, tracked, fixed.items()), set()  # read: every Q's qubits
     kept = [t for t in reversed(range(q)) if t not in fixed]
     # the trailing ... keeps a 0-d view when every qubit is idle
     select = (*_select(q, fixed.items()), ...)
@@ -138,8 +165,20 @@ def apply(state: StateVector, circuit: Circuit) -> StateVector:
     view[...] = tensor[select]
     del state, tensor
     axis = {t: a for a, t in enumerate(kept)}
-    for gate in circuit.gates:
-        _apply_gate(view, axis, gate)
+    for gate in gates:
+        run = gate
+        if value:
+            run, t = _widen(gate, value, len(axis)), gate.targets[0]
+            if not read.isdisjoint(gate.targets):  # forget each value whose Q it writes
+                value = {u: known for u, known in value.items()
+                         if not known or all(c not in gate.targets for c, _ in known)}
+            if gate.kind == "x" and value.get(t) in (False, gate.controls):
+                value[t] = gate.controls if value[t] is False else False
+                read.update(c for c, _ in gate.controls)
+            else:  # only X gates target a tracked qubit
+                value.pop(t, None)
+        if run is not None:
+            _apply_gate(view, axis, run)
     return StateVector(q, amps)
 
 

@@ -543,6 +543,22 @@ def test_solve_n7_fingerprint_unchanged():
     assert digest.hexdigest() == SOLVE_N7_FINGERPRINT
 
 
+# SHA-256 of the same bits for parallel n=6 in both constructions, on the three
+# kinds of b of SOLVE_FINGERPRINT with its own Gaussian seed.  The digest was
+# computed on the tree before `apply` widened gates by X-computed controls.
+PARALLEL_N6_FINGERPRINT = "3a0955d54ff803979983f7f8630584a607ca6e0de76cc61a4b5c5bdfa3b654f3"
+
+
+def test_parallel_n6_solve_fingerprint_unchanged():
+    digest = hashlib.sha256()
+    gauss = np.random.default_rng([12, 6]).standard_normal(2**6 - 1)
+    for ry in ("bitwise", "semantic"):
+        for b in (gauss, preset_rhs("sin", 6), 1e300 * gauss):
+            solution, reference, fid, prob = _bits(solve(QpsConfig(6, "parallel", ry), b))
+            digest.update(solution + reference + f"{fid} {prob}".encode())
+    assert digest.hexdigest() == PARALLEL_N6_FINGERPRINT
+
+
 def test_bc_block_is_a_lean_real_matrix():
     tracemalloc.start()
     try:
