@@ -13,10 +13,19 @@ control-indexed view, bit-identically for a fixed BLAS thread count.
 
 `apply` never writes its input.  It indexes away each idle qubit (one that no
 gate targets or controls) whose |1> half is exactly zero, copies only the kept
-subspace into a new zeroed array and drops the input before the first gate:
-a solve's |0> BCaux halves the work, the skipped half comes back as +0.0, and
+subspace and drops the input before the first gate: a solve's |0> BCaux
+halves the work, the skipped half comes back as +0.0 in the zeroed output, and
 a caller with no name on the input (`builder.solve`) holds one state-sized
 array while the gates run (from CPython 3.11).
+
+The gates run in a working axis order: the qubits that only blocks target (B,
+in a solve) lead, the other kept qubits follow in C order.  So the BC block
+multiplies a view, and a gate controlled by B reads contiguous runs.  Where
+that order is C order, the gates run on the output's kept view; otherwise on
+an array of their own, copied into the output's standard layout at the end.
+The order moves only the columns of a product: a 2x2, 4x4 or 8x8 product
+rounds each column alike wherever it sits (a test pins this for the BLAS in
+use), and a block on exactly the leading qubits keeps its columns in order.
 
 It tracks each qubit that only X gates target and some gate reads at |1>, from
 |0> on the kept input: an X with controls Q makes it [Q], the X with the same Q
@@ -111,11 +120,22 @@ def _apply_gate(tensor: np.ndarray, axis: dict[int, int], gate: Gate):
     # target axes most significant first, so that the C-order flattening of
     # the moved block matches the register-value indexing of the matrix;
     # the control axes follow and are indexed away
-    qubits = [*reversed(gate.targets), *(q for q, _ in gate.controls)]
-    moved = np.moveaxis(tensor, [axis[q] for q in qubits], range(len(qubits)))
+    first = [axis[q] for q in (*reversed(gate.targets), *(q for q, _ in gate.controls))]
+    moved = tensor.transpose(first + [a for a in range(tensor.ndim) if a not in first])
     sub = moved[(slice(None),) * len(gate.targets) + tuple(int(p) for _, p in gate.controls)]
     flat = sub.reshape(len(matrix), -1)
     sub[...] = (matrix @ flat).reshape(sub.shape)
+
+
+def _copy(dst: np.ndarray, src: np.ndarray):
+    """dst[...] = src, one slab of src's leading axes at a time.
+
+    numpy copies in dst's memory order, so a copy that permutes axes reads
+    src in a scattered order; a slab of 2**17 amplitudes (1 MiB) stays in
+    cache while it is read, which makes the copy about 2.5x faster.
+    """
+    for index in np.ndindex(src.shape[:max(src.ndim - 17, 0)]):
+        dst[index] = src[index]
 
 
 def _zero_qubits(tensor: np.ndarray, qubits, fixed=()) -> dict[int, bool]:
@@ -158,13 +178,19 @@ def apply(state: StateVector, circuit: Circuit) -> StateVector:
                & {c for g in gates for c, bit in g.controls if bit})
     value, read = _zero_qubits(tensor, tracked, fixed.items()), set()  # read: every Q's qubits
     kept = [t for t in reversed(range(q)) if t not in fixed]
+    # the qubits only blocks target (B, in a solve) lead the working axis order
+    lead = ({t for g in gates if g.kind == "block" for t in g.targets}
+            - {t for g in gates if g.kind != "block" for t in g.targets})
+    order = sorted(kept, key=lambda t: t not in lead)
+    perm = [kept.index(t) for t in order]
     # the trailing ... keeps a 0-d view when every qubit is idle
     select = (*_select(q, fixed.items()), ...)
-    amps = np.zeros(2**q)
-    view = amps.reshape((2,) * q)[select]
-    view[...] = tensor[select]
+    standard = order == kept  # then the gates run on the output itself
+    amps = np.zeros(2**q) if standard else None
+    work = amps.reshape((2,) * q)[select] if standard else np.empty((2,) * len(kept))
+    _copy(work.transpose(np.argsort(perm)), tensor[select])
     del state, tensor
-    axis = {t: a for a, t in enumerate(kept)}
+    axis = {t: a for a, t in enumerate(order)}
     for gate in gates:
         run = gate
         if value:
@@ -178,7 +204,10 @@ def apply(state: StateVector, circuit: Circuit) -> StateVector:
             else:  # only X gates target a tracked qubit
                 value.pop(t, None)
         if run is not None:
-            _apply_gate(view, axis, run)
+            _apply_gate(work, axis, run)
+    if not standard:
+        amps = np.zeros(2**q)
+        _copy(amps.reshape((2,) * q)[select].transpose(perm), work)
     return StateVector(q, amps)
 
 

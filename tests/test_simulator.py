@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qps import simulator
-from qps.builder import QpsConfig, build_qps
+from qps.builder import QpsConfig, build_qps, solve
 from qps.circuit import Circuit, Gate, QubitRegister
 from qps.simulator import (
     StateVector,
@@ -316,6 +316,71 @@ def test_a_widened_gate_leaves_one_qubit_free():
         amps[:, :, 1] = 0.0
         state = _state(amps.reshape(-1))
         assert np.array_equal(apply(state, circuit).amplitudes, _plain_apply(state, circuit))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_apply_in_its_working_axis_order_matches_the_plain_loop_bit_for_bit(data, seed):
+    # blocks on random targets, which lead the working order where no ry or x
+    # targets them; idle qubits at |0> (indexed away) and at |1> (kept)
+    q = data.draw(st.integers(2, 6))
+    idle = data.draw(st.lists(st.integers(0, q - 1), unique=True, max_size=min(2, q - 2)))
+    busy = [t for t in range(q) if t not in idle]
+    rng = np.random.default_rng(seed)
+    gates = []
+    for _ in range(data.draw(st.integers(1, 10))):
+        kind = data.draw(st.sampled_from(["ry", "x", "block"]))
+        order = data.draw(st.permutations(busy))
+        width = 1 if kind == "x" else data.draw(st.integers(1, min(3 if kind == "block" else 2,
+                                                                    len(busy) - 1)))
+        # one busy qubit stays free: numpy runs a one-column product as gemv
+        controls = tuple((c, data.draw(st.booleans()))
+                         for c in order[width:width + data.draw(st.integers(0, len(busy) - width - 1))])
+        targets = tuple(order[:width])
+        if kind == "ry":
+            gates.append(Gate.ry(data.draw(st.floats(-4 * math.pi, 4 * math.pi)), targets, controls))
+        elif kind == "x":
+            gates.append(Gate.x(targets[0], controls))
+        else:
+            gates.append(Gate(kind="block", targets=targets, controls=controls,
+                              matrix=_random_orthogonal(2**width, rng), label="U"))
+    circuit = Circuit((QubitRegister("q", q, 0),), gates)
+    amps = rng.standard_normal((2,) * q)
+    for t in idle:
+        amps[simulator._select(q, [(t, not data.draw(st.booleans()))])] = 0.0
+    state = _state(amps.reshape(-1))
+    assert np.array_equal(apply(state, circuit).amplitudes, _plain_apply(state, circuit))
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_blas_rounds_each_column_of_a_small_product_alike_wherever_it_sits(width):
+    # apply's working order permutes the columns of a ry, x or small block
+    # product against the standard layout; its bits hold only if this does
+    # (a 16x16 product already rounds some columns by where they sit)
+    rng = np.random.default_rng(7 + width)
+    for columns in range(2, 65):
+        m = rng.standard_normal((2**width, 2**width))
+        x = rng.standard_normal((2**width, columns))
+        p = rng.permutation(columns)
+        assert np.array_equal(m @ x[:, p], (m @ x)[:, p]), columns
+
+
+@pytest.mark.parametrize("mode,n", [("serial", 6), ("parallel", 5)])
+def test_bc_blocks_arrive_with_b_on_the_leading_axes(mode, n, monkeypatch):
+    received = []
+    apply_gate = simulator._apply_gate
+
+    def recording(tensor, axis, gate):
+        received.append((dict(axis), gate))
+        apply_gate(tensor, axis, gate)
+
+    monkeypatch.setattr(simulator, "_apply_gate", recording)
+    solve(QpsConfig(n, mode), np.random.default_rng(n).standard_normal(2**n - 1))
+    blocks = [(axis, gate) for axis, gate in received if gate.kind == "block"]
+    assert len(blocks) == 2  # BC and BC-dagger
+    for axis, gate in blocks:
+        # B's most significant qubit on axis 0: the block multiplies a view
+        assert [axis[t] for t in reversed(gate.targets)] == list(range(n))
 
 
 @pytest.mark.parametrize("mode,n", [("serial", 7), ("parallel", 6)])
