@@ -8,8 +8,11 @@ rank-q tensor of shape (2,)*q, qubit t lives on axis q-1-t (C order).
 
 Every gate is real, so amplitudes are float64 (16 MiB at n=7, 21 qubits);
 an input with a nonzero imaginary part is rejected.  Each gate is lowered to
-one small matrix over its targets and applied by one BLAS matmul on the
-control-indexed view, bit-identically for a fixed BLAS thread count.
+one small matrix over its targets and applied by one BLAS gemm on the
+control-indexed view, bit-identically for a fixed BLAS thread count.  numpy
+would run a one-column product as gemv, which rounds otherwise, so it runs as
+the first column of a two-column gemm: a gate's bits do not depend on how many
+other qubits control it or are indexed away.
 
 `apply` never writes its input.  It indexes away each idle qubit (one that no
 gate targets or controls) whose |1> half is exactly zero, copies only the kept
@@ -18,20 +21,20 @@ halves the work, the skipped half comes back as +0.0 in the zeroed output, and
 a caller with no name on the input (`builder.solve`) holds one state-sized
 array while the gates run (from CPython 3.11).
 
-The gates run in a working axis order: the qubits that only blocks target (B,
-in a solve) lead, the other kept qubits follow in C order.  So the BC block
-multiplies a view, and a gate controlled by B reads contiguous runs.  Where
-that order is C order, the gates run on the output's kept view; otherwise on
-an array of their own, copied into the output's standard layout at the end.
-The order moves only the columns of a product: a 2x2, 4x4 or 8x8 product
-rounds each column alike wherever it sits (a test pins this for the BLAS in
-use), and a block on exactly the leading qubits keeps its columns in order.
+The gates run on an array of their own, in a working axis order: the qubits
+that only blocks target (B, in a solve) lead, the other kept qubits follow in
+C order.  So the BC block multiplies a view, and a gate controlled by B reads
+contiguous runs.  The array is copied into the output's standard layout at the
+end.  The order moves only the columns of a product: a 2x2, 4x4 or 8x8 product
+rounds each column alike wherever it sits and however many columns it has (a
+test pins this for the BLAS in use), and a block on exactly the leading qubits
+keeps its columns in order.
 
 It tracks each qubit that only X gates target and some gate reads at |1>, from
 |0> on the kept input: an X with controls Q makes it [Q], the X with the same Q
 makes it |0>, another X on it or a gate on a qubit of Q forgets it.  A gate with
-a positive control on it is skipped at |0>; at [Q] it gains Q's pairs off its
-targets as controls (or is skipped if they contradict its own), bit-identically.
+a positive control on it is skipped at |0>; at [Q] it gains as controls the
+pairs of Q on none of its own controls and targets, bit-identically.
 
 No check or readout copies the state: `inject_register` writes only the rows
 it loads, `postselect` returns P and `extract_register` (P, vector).
@@ -124,7 +127,9 @@ def _apply_gate(tensor: np.ndarray, axis: dict[int, int], gate: Gate):
     moved = tensor.transpose(first + [a for a in range(tensor.ndim) if a not in first])
     sub = moved[(slice(None),) * len(gate.targets) + tuple(int(p) for _, p in gate.controls)]
     flat = sub.reshape(len(matrix), -1)
-    sub[...] = (matrix @ flat).reshape(sub.shape)
+    # a one-column product runs as two-column gemm, never gemv (see above)
+    wide = np.repeat(flat, 2, axis=1) if flat.shape[1] == 1 else flat
+    sub[...] = (matrix @ wide)[:, :flat.shape[1]].reshape(sub.shape)
 
 
 def _copy(dst: np.ndarray, src: np.ndarray):
@@ -147,19 +152,15 @@ def _zero_qubits(tensor: np.ndarray, qubits, fixed=()) -> dict[int, bool]:
     return zero
 
 
-def _widen(gate: Gate, value: dict, kept: int) -> Gate | None:
+def _widen(gate: Gate, value: dict) -> Gate | None:
     """gate under the controls its tracked controls imply; None where it cannot fire."""
     known = [value.get(c) for c, bit in gate.controls if bit]
     if False in known:
         return None
-    implied = {c: bit for pattern in known if pattern for c, bit in pattern}
     own = dict(gate.controls)
-    if any(own.get(c, bit) != bit for c, bit in implied.items()):
-        return None
-    more = tuple((c, bit) for c, bit in implied.items() if c not in own and c not in gate.targets)
-    # leave one qubit free: numpy runs a one-column product as gemv, whose bits differ
-    more = more[:max(kept - 1 - len(gate.targets) - len(own), 0)]
-    return replace(gate, controls=gate.controls + more) if more and gate.kind != "block" else gate
+    more = {c: bit for pattern in known if pattern for c, bit in pattern
+            if c not in own and c not in gate.targets}
+    return replace(gate, controls=gate.controls + tuple(more.items())) if more else gate
 
 
 def apply(state: StateVector, circuit: Circuit) -> StateVector:
@@ -176,7 +177,7 @@ def apply(state: StateVector, circuit: Circuit) -> StateVector:
     tracked = (({g.targets[0] for g in gates if g.kind == "x"}
                 - {t for g in gates if g.kind != "x" for t in g.targets})
                & {c for g in gates for c, bit in g.controls if bit})
-    value, read = _zero_qubits(tensor, tracked, fixed.items()), set()  # read: every Q's qubits
+    value = _zero_qubits(tensor, tracked, fixed.items())
     kept = [t for t in reversed(range(q)) if t not in fixed]
     # the qubits only blocks target (B, in a solve) lead the working axis order
     lead = ({t for g in gates if g.kind == "block" for t in g.targets}
@@ -185,29 +186,25 @@ def apply(state: StateVector, circuit: Circuit) -> StateVector:
     perm = [kept.index(t) for t in order]
     # the trailing ... keeps a 0-d view when every qubit is idle
     select = (*_select(q, fixed.items()), ...)
-    standard = order == kept  # then the gates run on the output itself
-    amps = np.zeros(2**q) if standard else None
-    work = amps.reshape((2,) * q)[select] if standard else np.empty((2,) * len(kept))
+    work = np.empty((2,) * len(kept))
     _copy(work.transpose(np.argsort(perm)), tensor[select])
     del state, tensor
     axis = {t: a for a, t in enumerate(order)}
     for gate in gates:
         run = gate
         if value:
-            run, t = _widen(gate, value, len(axis)), gate.targets[0]
-            if not read.isdisjoint(gate.targets):  # forget each value whose Q it writes
-                value = {u: known for u, known in value.items()
-                         if not known or all(c not in gate.targets for c, _ in known)}
+            run, t = _widen(gate, value), gate.targets[0]
+            # forget each value whose Q it writes
+            value = {u: known for u, known in value.items()
+                     if not known or all(c not in gate.targets for c, _ in known)}
             if gate.kind == "x" and value.get(t) in (False, gate.controls):
                 value[t] = gate.controls if value[t] is False else False
-                read.update(c for c, _ in gate.controls)
             else:  # only X gates target a tracked qubit
                 value.pop(t, None)
         if run is not None:
             _apply_gate(work, axis, run)
-    if not standard:
-        amps = np.zeros(2**q)
-        _copy(amps.reshape((2,) * q)[select].transpose(perm), work)
+    amps = np.zeros(2**q)
+    _copy(amps.reshape((2,) * q)[select].transpose(perm), work)
     return StateVector(q, amps)
 
 

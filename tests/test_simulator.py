@@ -305,9 +305,16 @@ def test_gates_under_an_x_computed_control_match_the_plain_loop(data, seed):
     assert np.max(np.abs(out - _oracle_apply(state, circuit))) <= 1e-12
 
 
-def test_a_widened_gate_leaves_one_qubit_free():
-    # qubit 0 = [qubit 1 at |0>]; widening the rotation by that pair would
-    # leave a one-column product, which numpy runs as gemv, rounding otherwise
+def test_a_widened_gate_may_leave_no_qubit_free(monkeypatch):
+    # qubit 0 = [qubit 1 at |0>]; widened by that pair, the rotation leaves a
+    # one-column product, which runs as two-column gemm like the plain loop's
+    received = []
+    apply_gate = simulator._apply_gate
+
+    def recording(tensor, axis, gate):
+        received.append(gate)
+        apply_gate(tensor, axis, gate)
+
     pattern = ((1, False),)
     circuit = Circuit((QubitRegister("q", 3, 0),),
                       [Gate.x(0, pattern), Gate.ry(1.0, 2, ((0, True),)), Gate.x(0, pattern)])
@@ -315,7 +322,24 @@ def test_a_widened_gate_leaves_one_qubit_free():
         amps = np.random.default_rng(seed).standard_normal((2, 2, 2))
         amps[:, :, 1] = 0.0
         state = _state(amps.reshape(-1))
-        assert np.array_equal(apply(state, circuit).amplitudes, _plain_apply(state, circuit))
+        received.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(simulator, "_apply_gate", recording)
+            out = apply(state, circuit).amplitudes
+        assert received[1].controls == ((0, True), (1, False))
+        assert np.array_equal(out, _plain_apply(state, circuit))
+
+
+def test_a_gate_rounds_alike_with_an_idle_qubit_indexed_away():
+    # qubit 2 is idle at |0>, so apply multiplies one column where the plain
+    # loop multiplies two; gemv rounded 3 of the 8 seeds otherwise, per polarity
+    for bit in (True, False):
+        circuit = Circuit((QubitRegister("q", 3, 0),), [Gate.ry(1.0, 0, ((1, bit),))])
+        for seed in range(8):
+            amps = np.random.default_rng(seed).standard_normal((2, 2, 2))
+            amps[1] = 0.0
+            state = _state(amps.reshape(-1))
+            assert np.array_equal(apply(state, circuit).amplitudes, _plain_apply(state, circuit))
 
 
 @settings(max_examples=200, deadline=None)
@@ -332,10 +356,11 @@ def test_apply_in_its_working_axis_order_matches_the_plain_loop_bit_for_bit(data
         kind = data.draw(st.sampled_from(["ry", "x", "block"]))
         order = data.draw(st.permutations(busy))
         width = 1 if kind == "x" else data.draw(st.integers(1, min(3 if kind == "block" else 2,
-                                                                    len(busy) - 1)))
-        # one busy qubit stays free: numpy runs a one-column product as gemv
+                                                                    len(busy))))
+        # targets and controls may cover every busy qubit: a product of one
+        # column must round as the plain loop's column does
         controls = tuple((c, data.draw(st.booleans()))
-                         for c in order[width:width + data.draw(st.integers(0, len(busy) - width - 1))])
+                         for c in order[width:width + data.draw(st.integers(0, len(busy) - width))])
         targets = tuple(order[:width])
         if kind == "ry":
             gates.append(Gate.ry(data.draw(st.floats(-4 * math.pi, 4 * math.pi)), targets, controls))
@@ -355,14 +380,20 @@ def test_apply_in_its_working_axis_order_matches_the_plain_loop_bit_for_bit(data
 @pytest.mark.parametrize("width", [1, 2, 3])
 def test_blas_rounds_each_column_of_a_small_product_alike_wherever_it_sits(width):
     # apply's working order permutes the columns of a ry, x or small block
-    # product against the standard layout; its bits hold only if this does
-    # (a 16x16 product already rounds some columns by where they sit)
+    # product against the standard layout, and a one-column product runs as
+    # two-column gemm; its bits hold only if a column rounds alike wherever it
+    # sits and however many columns it has (a 16x16 product already rounds
+    # some columns by where they sit)
     rng = np.random.default_rng(7 + width)
     for columns in range(2, 65):
         m = rng.standard_normal((2**width, 2**width))
         x = rng.standard_normal((2**width, columns))
         p = rng.permutation(columns)
-        assert np.array_equal(m @ x[:, p], (m @ x)[:, p]), columns
+        product = m @ x
+        assert np.array_equal(m @ x[:, p], product[:, p]), columns
+        for j in range(columns):
+            pair = m @ np.repeat(x[:, j:j + 1], 2, axis=1)
+            assert np.array_equal(pair[:, 0], product[:, j]), (columns, j)
 
 
 @pytest.mark.parametrize("mode,n", [("serial", 6), ("parallel", 5)])
