@@ -30,11 +30,14 @@ rounds each column alike wherever it sits and however many columns it has (a
 test pins this for the BLAS in use), and a block on exactly the leading qubits
 keeps its columns in order.
 
-It tracks each qubit that only X gates target and some gate reads at |1>, from
-|0> on the kept input: an X with controls Q makes it [Q], the X with the same Q
-makes it |0>, another X on it or a gate on a qubit of Q forgets it.  A gate with
-a positive control on it is skipped at |0>; at [Q] it gains as controls the
-pairs of Q on none of its own controls and targets, bit-identically.
+It tracks each qubit that some ry or x gate targets and no block targets, from
+|0> where the kept input's |1> half is exactly zero: an X with controls Q makes
+it [Q], the X with the same Q makes it |0>, any other gate forgets its own
+targets and a gate on a qubit of Q forgets [Q].  While it is |0>, a gate with a
+positive control on it is skipped and each other ry or x gate gains the control
+(qubit, 0); at [Q] a gate with a positive control on it gains the pairs of Q on
+none of its own controls and targets.  No block is narrowed, since a dense
+block's bits can change with its width.  The bits are the plain gate loop's.
 
 No check or readout copies the state: `inject_register` writes only the rows
 it loads, `postselect` returns P and `extract_register` (P, vector).
@@ -43,7 +46,7 @@ it loads, `postselect` returns P and `extract_register` (P, vector).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -132,35 +135,49 @@ def _apply_gate(tensor: np.ndarray, axis: dict[int, int], gate: Gate):
     sub[...] = (matrix @ wide)[:, :flat.shape[1]].reshape(sub.shape)
 
 
+def _slabs(array: np.ndarray):
+    """The index of each slab of 2**17 amplitudes (1 MiB) of array's leading axes."""
+    return np.ndindex(array.shape[:max(array.ndim - 17, 0)])
+
+
 def _copy(dst: np.ndarray, src: np.ndarray):
-    """dst[...] = src, one slab of src's leading axes at a time.
+    """dst[...] = src, one slab of src at a time.
 
     numpy copies in dst's memory order, so a copy that permutes axes reads
-    src in a scattered order; a slab of 2**17 amplitudes (1 MiB) stays in
-    cache while it is read, which makes the copy about 2.5x faster.
+    src in a scattered order; a slab stays in cache while it is read, which
+    makes the copy about 2.5x faster.
     """
-    for index in np.ndindex(src.shape[:max(src.ndim - 17, 0)]):
+    for index in _slabs(src):
         dst[index] = src[index]
 
 
 def _zero_qubits(tensor: np.ndarray, qubits, fixed=()) -> dict[int, bool]:
-    """Each of qubits whose |1> half is exactly zero, given fixed and those found at |0>."""
+    """Each of qubits whose |1> half is exactly zero, given fixed and those found at |0>.
+
+    A scan stops at the first nonzero slab of the half.
+    """
     zero = {}
     for t in qubits:
-        if not tensor[_select(tensor.ndim, [*fixed, *zero.items(), (t, True)])].any():
+        half = tensor[_select(tensor.ndim, [*fixed, *zero.items(), (t, True)])]
+        if not any(half[i].any() for i in _slabs(half)):
             zero[t] = False
     return zero
 
 
 def _widen(gate: Gate, value: dict) -> Gate | None:
-    """gate under the controls its tracked controls imply; None where it cannot fire."""
+    """gate under the controls its tracked qubits imply; None where it cannot fire."""
     known = [value.get(c) for c, bit in gate.controls if bit]
     if False in known:
         return None
-    own = dict(gate.controls)
-    more = {c: bit for pattern in known if pattern for c, bit in pattern
-            if c not in own and c not in gate.targets}
-    return replace(gate, controls=gate.controls + tuple(more.items())) if more else gate
+    qubits = gate.qubits
+    more = {c: bit for pattern in known if pattern for c, bit in pattern if c not in qubits}
+    if gate.kind != "block":  # runs only where each tracked |0> qubit is |0>
+        more |= {u: False for u, v in value.items() if v is False and u not in qubits}
+    if not more:
+        return gate
+    # built directly: dataclasses.replace costs as much again on each narrowed gate
+    return Gate(gate.kind, gate.targets, gate.controls + tuple(more.items()), gate.angle,
+                gate.matrix, gate.label)
 
 
 def apply(state: StateVector, circuit: Circuit) -> StateVector:
@@ -172,16 +189,15 @@ def apply(state: StateVector, circuit: Circuit) -> StateVector:
     tensor = state.tensor()
     # index away each idle qubit whose |1> half is exactly zero
     touched = {t for gate in gates for t in gate.qubits}
-    fixed = _zero_qubits(tensor, (t for t in range(q) if t not in touched))
-    # value: False while a tracked qubit is |0>, the X's controls Q while it is [Q]
-    tracked = (({g.targets[0] for g in gates if g.kind == "x"}
-                - {t for g in gates if g.kind != "x" for t in g.targets})
-               & {c for g in gates for c, bit in g.controls if bit})
-    value = _zero_qubits(tensor, tracked, fixed.items())
+    fixed = _zero_qubits(tensor, (t for t in reversed(range(q)) if t not in touched))
+    blocked = {t for g in gates if g.kind == "block" for t in g.targets}
+    gated = {t for g in gates if g.kind != "block" for t in g.targets}
+    # value: False while a tracked qubit (one only ry and x gates target) is
+    # |0>, the X's controls Q while it is [Q]
+    value = _zero_qubits(tensor, sorted(gated - blocked, reverse=True), fixed.items())
     kept = [t for t in reversed(range(q)) if t not in fixed]
     # the qubits only blocks target (B, in a solve) lead the working axis order
-    lead = ({t for g in gates if g.kind == "block" for t in g.targets}
-            - {t for g in gates if g.kind != "block" for t in g.targets})
+    lead = blocked - gated
     order = sorted(kept, key=lambda t: t not in lead)
     perm = [kept.index(t) for t in order]
     # the trailing ... keeps a 0-d view when every qubit is idle
@@ -193,14 +209,12 @@ def apply(state: StateVector, circuit: Circuit) -> StateVector:
     for gate in gates:
         run = gate
         if value:
-            run, t = _widen(gate, value), gate.targets[0]
-            # forget each value whose Q it writes
-            value = {u: known for u, known in value.items()
-                     if not known or all(c not in gate.targets for c, _ in known)}
-            if gate.kind == "x" and value.get(t) in (False, gate.controls):
-                value[t] = gate.controls if value[t] is False else False
-            else:  # only X gates target a tracked qubit
-                value.pop(t, None)
+            run, t, before = _widen(gate, value), gate.targets[0], value.get(gate.targets[0])
+            # forget its targets and each value whose Q it writes
+            value = {u: known for u, known in value.items() if u not in gate.targets
+                     and (not known or all(c not in gate.targets for c, _ in known))}
+            if gate.kind == "x" and before in (False, gate.controls):
+                value[t] = gate.controls if before is False else False
         if run is not None:
             _apply_gate(work, axis, run)
     amps = np.zeros(2**q)

@@ -1,5 +1,9 @@
 import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -533,14 +537,35 @@ def test_solve_output_fingerprint_unchanged():
 SOLVE_N7_FINGERPRINT = "b2b59fa651a1c0c825107663ca155e421d4e94cd5f43cf3e207f2ffc111c8f6f"
 
 
-def test_solve_n7_fingerprint_unchanged():
+def _solve_n7_digest() -> str:
     digest = hashlib.sha256()
     for ry in ("bitwise", "semantic"):
         for mode, n in (("serial", 7), ("parallel", 6)):
             b = np.random.default_rng([11, n]).standard_normal(2**n - 1)
             solution, reference, fid, prob = _bits(solve(QpsConfig(n, mode, ry), b))
             digest.update(solution + reference + f"{fid} {prob}".encode())
-    assert digest.hexdigest() == SOLVE_N7_FINGERPRINT
+    return digest.hexdigest()
+
+
+def test_solve_n7_fingerprint_unchanged():
+    assert _solve_n7_digest() == SOLVE_N7_FINGERPRINT
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts threads in /proc")
+def test_solve_n7_fingerprint_holds_at_two_blas_threads():
+    # the suite pins BLAS to one thread; a fresh process at two recomputes the
+    # digest, and counts its threads to show that OpenBLAS really runs two
+    probe = ("import os, test_builder; "
+             "print(test_builder._solve_n7_digest(), len(os.listdir('/proc/self/task')))")
+    tests = Path(__file__).resolve().parent
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
+           "PYTHONPATH": os.pathsep.join((str(tests.parent / "src"), str(tests)))}
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            check=True, env=env)
+    digest, threads = result.stdout.split()
+    # OpenBLAS runs no more threads than the process has cores
+    assert int(threads) == min(2, len(os.sched_getaffinity(0)))
+    assert digest == SOLVE_N7_FINGERPRINT
 
 
 # SHA-256 of the same bits for parallel n=6 in both constructions, on the three

@@ -214,6 +214,18 @@ def test_idle_qubit_with_a_tiny_amplitude_is_not_skipped():
     assert out.amplitudes[0b101] == 1e-300 * math.cos(0.35)
 
 
+def test_a_tiny_amplitude_in_the_last_slab_is_not_skipped():
+    # 2**20 amplitudes: each |1> half is four 1 MiB slabs, which the scan reads
+    # until one is nonzero, and the one 1e-300 off |0...0> is in the last slab
+    q = 20
+    amps = np.zeros(2**q)
+    amps[0], amps[-1] = 1.0, 1e-300
+    assert simulator._zero_qubits(amps.reshape((2,) * q), reversed(range(q))) == {}
+    out = apply(StateVector(q, amps), Circuit((QubitRegister("q", q, 0),),
+                                              [Gate.ry(0.5, 0)])).amplitudes
+    assert out[-1] == 1e-300 * math.cos(0.25) and out[-2] == -1e-300 * math.sin(0.25)
+
+
 @pytest.mark.parametrize("idle_bit,size", [(0, 8), (1, 16)], ids=["0", "1"])
 def test_skipped_half_of_an_idle_qubit_stays_exactly_zero(idle_bit, size, monkeypatch):
     sizes = []
@@ -342,23 +354,18 @@ def test_a_gate_rounds_alike_with_an_idle_qubit_indexed_away():
             assert np.array_equal(apply(state, circuit).amplitudes, _plain_apply(state, circuit))
 
 
-@settings(max_examples=200, deadline=None)
-@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
-def test_apply_in_its_working_axis_order_matches_the_plain_loop_bit_for_bit(data, seed):
-    # blocks on random targets, which lead the working order where no ry or x
-    # targets them; idle qubits at |0> (indexed away) and at |1> (kept)
-    q = data.draw(st.integers(2, 6))
-    idle = data.draw(st.lists(st.integers(0, q - 1), unique=True, max_size=min(2, q - 2)))
-    busy = [t for t in range(q) if t not in idle]
-    rng = np.random.default_rng(seed)
+def _draw_gates(data, busy, rng) -> list[Gate]:
+    """1..10 ry (1-2 targets), x and block (1-3 targets) gates on the busy qubits.
+
+    Targets and controls of both polarities may cover every busy qubit: a
+    product of one column must round as the plain loop's column does.
+    """
     gates = []
     for _ in range(data.draw(st.integers(1, 10))):
         kind = data.draw(st.sampled_from(["ry", "x", "block"]))
         order = data.draw(st.permutations(busy))
         width = 1 if kind == "x" else data.draw(st.integers(1, min(3 if kind == "block" else 2,
                                                                     len(busy))))
-        # targets and controls may cover every busy qubit: a product of one
-        # column must round as the plain loop's column does
         controls = tuple((c, data.draw(st.booleans()))
                          for c in order[width:width + data.draw(st.integers(0, len(busy) - width))])
         targets = tuple(order[:width])
@@ -369,12 +376,44 @@ def test_apply_in_its_working_axis_order_matches_the_plain_loop_bit_for_bit(data
         else:
             gates.append(Gate(kind="block", targets=targets, controls=controls,
                               matrix=_random_orthogonal(2**width, rng), label="U"))
-    circuit = Circuit((QubitRegister("q", q, 0),), gates)
+    return gates
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_apply_in_its_working_axis_order_matches_the_plain_loop_bit_for_bit(data, seed):
+    # blocks on random targets, which lead the working order where no ry or x
+    # targets them; idle qubits at |0> (indexed away) and at |1> (kept)
+    q = data.draw(st.integers(2, 6))
+    idle = data.draw(st.lists(st.integers(0, q - 1), unique=True, max_size=min(2, q - 2)))
+    busy = [t for t in range(q) if t not in idle]
+    rng = np.random.default_rng(seed)
+    circuit = Circuit((QubitRegister("q", q, 0),), _draw_gates(data, busy, rng))
     amps = rng.standard_normal((2,) * q)
     for t in idle:
         amps[simulator._select(q, [(t, not data.draw(st.booleans()))])] = 0.0
     state = _state(amps.reshape(-1))
     assert np.array_equal(apply(state, circuit).amplitudes, _plain_apply(state, circuit))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_gates_where_tracked_qubits_stay_at_zero_match_the_plain_loop(data, seed):
+    # a product input in which each qubit is |0>, |1>, a mix, or |0> with a
+    # 1e-300 amplitude on |1>, which must not pass for |0>
+    q = data.draw(st.integers(2, 6))
+    rng = np.random.default_rng(seed)
+    circuit = Circuit((QubitRegister("q", q, 0),), _draw_gates(data, list(range(q)), rng))
+    amps = np.ones(1)
+    for _ in range(q):  # the most significant qubit first
+        pick = data.draw(st.sampled_from(["0", "1", "mix", "tiny"]))
+        factor = {"0": [1.0, 0.0], "1": [0.0, 1.0], "mix": rng.standard_normal(2),
+                  "tiny": [1.0, 1e-300]}[pick]
+        amps = np.kron(amps, factor)
+    state = _state(amps)
+    out = apply(state, circuit).amplitudes
+    assert np.array_equal(out, _plain_apply(state, circuit))
+    assert np.max(np.abs(out - _oracle_apply(state, circuit))) <= 1e-12
 
 
 @pytest.mark.parametrize("width", [1, 2, 3])
@@ -432,9 +471,67 @@ def test_solve_gates_sweep_only_where_their_computed_controls_fire(mode, n, monk
     kept = received[0][0]  # BCaux is indexed away
     swept = sum(2 ** (k - len(g.targets) - len(g.controls)) for k, g in received)
     plain = sum(2 ** (kept - len(g.targets) - len(g.controls)) for g in circuit.gates)
-    # 0.36x at serial n=7 and 0.41x at parallel n=6; 1x while every gate ran
-    # under its own controls only
+    # 0.147x at serial n=7 and 0.140x at parallel n=6 (0.36x and 0.41x while
+    # only X-only targets were tracked); 1x while every gate ran under its own
+    # controls only
     assert swept <= 0.45 * plain
+
+
+def _record_gates(monkeypatch) -> list:
+    """(working tensor rank, gate) of each _apply_gate call from here on."""
+    received = []
+    apply_gate = simulator._apply_gate
+
+    def recording(tensor, axis, gate):
+        received.append((tensor.ndim, gate))
+        apply_gate(tensor, axis, gate)
+
+    monkeypatch.setattr(simulator, "_apply_gate", recording)
+    return received
+
+
+def _injected(circuit, seed):
+    n = circuit.register("B").width
+    b = np.random.default_rng([seed, n]).standard_normal(2**n)
+    b[0] = 0.0
+    return inject_register(StateVector.ground(circuit.num_qubits), circuit.register("B"),
+                           b / np.linalg.norm(b))
+
+
+@pytest.mark.parametrize("mode,n", [("serial", 6), ("parallel", 5)])
+def test_bc_blocks_multiply_the_whole_kept_state(mode, n, monkeypatch):
+    # E, Anc and C are |0> when BC runs, and C again when BC-dagger runs, yet no
+    # block is narrowed: a dense 2**n x 2**n product's bits change with its width
+    received = _record_gates(monkeypatch)
+    solve(QpsConfig(n, mode), np.random.default_rng(n).standard_normal(2**n - 1))
+    blocks = [gate for _, gate in received if gate.kind == "block"]
+    assert [gate.label for gate in blocks] == ["BC", "BC†"]
+    assert all(gate.controls == () for gate in blocks)
+
+
+@pytest.mark.parametrize("ry", ["bitwise", "semantic"])
+@pytest.mark.parametrize("mode,ns", [("serial", range(2, 7)), ("parallel", range(3, 6))])
+def test_solve_circuits_match_the_plain_loop_byte_for_byte(mode, ns, ry):
+    # bytes, not values: the sign of every zero is pinned too
+    for n in ns:
+        circuit = build_qps(QpsConfig(n, mode, ry))
+        for seed in range(3):
+            state = _injected(circuit, seed)
+            assert apply(state, circuit).amplitudes.tobytes() == \
+                _plain_apply(state, circuit).tobytes(), (n, seed)
+
+
+@pytest.mark.parametrize("mode,n", [("serial", 7), ("parallel", 6)])
+def test_solve_gates_sweep_only_where_tracked_qubits_allow(mode, n, monkeypatch):
+    received = _record_gates(monkeypatch)
+    circuit = build_qps(QpsConfig(n, mode))
+    apply(_injected(circuit, 5), circuit)
+    kept = received[0][0]  # BCaux is indexed away
+    swept = sum(2 ** (k - len(g.targets) - len(g.controls)) for k, g in received)
+    plain = sum(2 ** (kept - len(g.targets) - len(g.controls)) for g in circuit.gates)
+    # 0.147x at serial n=7 and 0.140x at parallel n=6; 0.36x and 0.41x while
+    # only X-only targets were tracked, so E pairs not yet loaded were swept
+    assert swept <= 0.2 * plain
 
 
 def test_apply_peak_memory_on_a_solve_circuit():
