@@ -226,10 +226,20 @@ def build_qps(config: QpsConfig, materialize_bc: bool = True) -> Circuit:
 
 
 def solve(config: QpsConfig, b) -> QpsSolution:
-    circuit = build_qps(config)
+    return solve_circuit(build_qps(config), b)
+
+
+def solve_circuit(circuit: Circuit, b) -> QpsSolution:
+    """`solve` on a dense `build_qps` circuit, which serves every b at its n (B's width)."""
+    if not {"B", "E", "Anc"} <= {r.name for r in circuit.registers}:
+        raise ValueError("solve needs a circuit with registers B, E and Anc")
+    if any(g.kind == "block" and g.matrix is None for g in circuit.gates):
+        raise ValueError("a block gate has no matrix; counting-only circuit")
+    b_reg, e_reg, anc = map(circuit.register, ("B", "E", "Anc"))
+    n = b_reg.width
     rhs = _as_vector(b)
-    if len(rhs) != 2**config.n - 1:
-        raise ValueError(f"right-hand side must have length 2**n - 1 = {2**config.n - 1}")
+    if len(rhs) != 2**n - 1:
+        raise ValueError(f"right-hand side must have length 2**n - 1 = {2**n - 1}")
     peak = np.max(np.abs(rhs))
     if peak == 0.0:
         raise ValueError("zero right-hand side")
@@ -240,8 +250,6 @@ def solve(config: QpsConfig, b) -> QpsSolution:
         rhs = rhs / peak
         norm = np.linalg.norm(rhs)
     b_hat = rhs / norm
-
-    b_reg, e_reg, anc = map(circuit.register, ("B", "E", "Anc"))
 
     # no name holds the ground or the injected state, so apply frees its input
     state = apply(inject_register(StateVector.ground(circuit.num_qubits), b_reg,
@@ -254,7 +262,7 @@ def solve(config: QpsConfig, b) -> QpsSolution:
         raise RuntimeError("postselected register B is not a real solution direction")
     solution = vec[1:]
 
-    reference = solve_classical(TridiagonalSystem(N=2**config.n), b_hat)
+    reference = solve_classical(TridiagonalSystem(N=2**n), b_hat)
     reference = reference / np.linalg.norm(reference)
 
     return QpsSolution(

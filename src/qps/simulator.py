@@ -18,8 +18,8 @@ other qubits control it or are indexed away.
 gate targets or controls) whose |1> half is exactly zero, copies only the kept
 subspace and drops the input before the first gate: a solve's |0> BCaux
 halves the work, the skipped half comes back as +0.0 in the zeroed output, and
-a caller with no name on the input (`builder.solve`) holds one state-sized
-array while the gates run (from CPython 3.11).
+a caller with no name on the input (`builder.solve_circuit`) holds one
+state-sized array while the gates run (from CPython 3.11).
 
 The gates run on an array of their own, in a working axis order: the qubits
 that only blocks target (B, in a solve) lead, the other kept qubits follow in
@@ -109,11 +109,13 @@ def _gate_matrix(gate: Gate) -> np.ndarray:
     """The gate as one small matrix over its targets, most significant first."""
     if gate.kind == "ry":
         c, s = math.cos(gate.angle / 2.0), math.sin(gate.angle / 2.0)
-        rotation = np.array([[c, -s], [s, c]])
+        if len(gate.targets) == 1:
+            return np.array([[c, -s], [s, c]])
         # a two-target pair has equal angles, so the target order is immaterial;
-        # this broadcast forms np.kron's products without its per-call overhead
-        pair = rotation[:, None, :, None] * rotation[None, :, None, :]
-        return rotation if len(gate.targets) == 1 else pair.reshape(4, 4)
+        # kron(rotation, rotation) from Python floats: (-x) * y is -(x * y) exactly
+        cc, cs, ss = c * c, c * s, s * s
+        return np.array([[cc, -cs, -cs, ss], [cs, cc, -ss, -cs],
+                         [cs, -ss, cc, -cs], [ss, cs, cs, cc]])
     if gate.kind == "x":
         return np.array([[0.0, 1.0], [1.0, 0.0]])
     if gate.matrix is None:

@@ -1,7 +1,9 @@
 """The paper's invariant suites, one implementation each, for `qps verify`,
 `qps identities` and the acceptance tests.  Each suite returns its worst
 case and the callers own the thresholds.  The solver is reached through
-module attributes (`builder.solve`), so a patched attribute sees every call.
+module attributes (`builder.build_qps`, `builder.solve_circuit`,
+`builder.build_inversion_serial` and the `simulator` functions), so a patched
+attribute sees every call.  A solve sweep builds each configuration once.
 """
 
 from __future__ import annotations
@@ -86,9 +88,10 @@ def solve_sweep(ns, trials: int, rng) -> tuple[float, float]:
     worst_fid = 1.0
     worst_prob = 0.0
     for n in ns:
+        circuit = builder.build_qps(builder.QpsConfig(n=n))
         for _ in range(trials):
             b = rng.standard_normal(2**n - 1)
-            sol = builder.solve(builder.QpsConfig(n=n), b)
+            sol = builder.solve_circuit(circuit, b)
             worst_fid = min(worst_fid, sol.fidelity)
             b_hat = b / np.linalg.norm(b)
             v = poisson.solve_classical(poisson.TridiagonalSystem(N=2**n), b_hat)
@@ -102,13 +105,12 @@ def construction_equivalence(ns, trials: int, rng) -> float:
     """Min fidelity of parallel-bitwise and serial-semantic against serial-bitwise."""
     worst = 1.0
     for n in ns:
+        circuits = [builder.build_qps(builder.QpsConfig(n, mode, ry)) for mode, ry in
+                    (("serial", "bitwise"), ("parallel", "bitwise"), ("serial", "semantic"))]
         for _ in range(trials):
             b = rng.standard_normal(2**n - 1)
-            base = builder.solve(builder.QpsConfig(n=n), b)
-            for mode, ry in ((builder.PARALLEL, "bitwise"), ("serial", "semantic")):
-                other = builder.solve(
-                    builder.QpsConfig(n=n, mode=mode, ry_construction=ry), b)
-                worst = min(worst, simulator.fidelity(base.solution, other.solution))
+            base, *others = [builder.solve_circuit(circuit, b).solution for circuit in circuits]
+            worst = min(worst, *(simulator.fidelity(base, other) for other in others))
     return worst
 
 

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -493,6 +494,33 @@ def test_solve_checks_its_bound_before_allocating(monkeypatch):
     for config, message in PAST_THE_SOLVE_ROWS:
         with pytest.raises(ValueError, match=message):
             builder.solve(config, np.ones(2**config.n - 1))
+
+
+@pytest.mark.parametrize("ry", ["bitwise", "semantic"])
+@pytest.mark.parametrize("mode", ["serial", "parallel"])
+def test_solve_circuit_matches_solve_byte_for_byte(mode, ry):
+    # one circuit per n serves both seeds, as in verify's sweeps
+    lo, hi = BOUNDS[f"{mode} solve"]
+    for n in range(lo, hi + 1):
+        circuit = build_qps(QpsConfig(n, mode, ry))
+        for seed in range(2):
+            b = np.random.default_rng([seed, n]).standard_normal(2**n - 1)
+            ours, theirs = builder.solve_circuit(circuit, b), solve(QpsConfig(n, mode, ry), b)
+            assert (_bits(ours), ours.resources) == (_bits(theirs), theirs.resources), (n, seed)
+
+
+def test_solve_circuit_rejects_a_counting_only_circuit_before_allocating(monkeypatch):
+    circuit = build_qps(QpsConfig(15), materialize_bc=False)
+    monkeypatch.setattr(StateVector, "ground", _fail)
+    with pytest.raises(ValueError, match="counting-only circuit"):
+        builder.solve_circuit(circuit, np.ones(2**15 - 1))
+
+
+def test_solve_circuit_rejects_a_circuit_without_register_e():
+    registers = [r for r in standard_registers(3) if r.name != "E"]
+    circuit = Circuit([replace(r, offset=o) for r, o in zip(registers, (0, 3, 4))])
+    with pytest.raises(ValueError, match="registers B, E and Anc"):
+        builder.solve_circuit(circuit, np.ones(7))
 
 
 def test_default_build_past_the_solve_row_raises_before_bc_matrix(monkeypatch):

@@ -139,7 +139,8 @@ def _fail(*args, **kwargs):
 
 
 def test_verify_checks_owns_its_bound(monkeypatch):
-    monkeypatch.setattr(builder, "solve", _fail)
+    for name in ("solve", "build_qps", "solve_circuit"):
+        monkeypatch.setattr(builder, name, _fail)
     with pytest.raises(ValueError, match=r"serial simulation supports n in \[2, 6\], got 7"):
         verify.checks(7, 0, False)
 

@@ -521,6 +521,36 @@ def test_solve_circuits_match_the_plain_loop_byte_for_byte(mode, ns, ry):
                 _plain_apply(state, circuit).tobytes(), (n, seed)
 
 
+def test_one_circuit_serves_inputs_with_different_zero_patterns():
+    # verify solves many b on one circuit, so nothing apply derives from an
+    # input may outlive the call: E and Anc at |0> (gates skipped and
+    # narrowed), E loaded (no tracked qubit at |0>), each again, then the idle
+    # BCaux loaded (kept, not indexed away), each against the plain loop's bytes
+    circuit = build_qps(QpsConfig(4))
+    q, rng = circuit.num_qubits, np.random.default_rng(4)
+    e, anc, bcaux = map(circuit.register, ("E", "Anc", "BCaux"))
+    for loaded in ((), (e,), (), (e,), (e, anc, bcaux)):
+        free = set(circuit.register("B").qubits).union(*(r.qubits for r in loaded))
+        outside = sum(1 << t for t in range(q) if t not in free)
+        amps = np.where(np.arange(2**q) & outside, 0.0, rng.standard_normal(2**q))
+        state = _state(amps)
+        assert apply(state, circuit).amplitudes.tobytes() == \
+            _plain_apply(_state(amps), circuit).tobytes(), [r.name for r in loaded]
+
+
+def test_rotation_pair_matrix_is_the_broadcast_kron_bit_for_bit():
+    # built from Python-float products, which are the IEEE products the
+    # broadcast form computed, the sign of each zero included
+    angles = [0.0, -0.0, *np.random.default_rng(9).uniform(-4 * math.pi, 4 * math.pi, 10_000),
+              *(j * math.pi / 2**k for k in range(12) for j in range(-16, 17))]
+    for angle in angles:
+        c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
+        rotation = np.array([[c, -s], [s, c]])
+        broadcast = (rotation[:, None, :, None] * rotation[None, :, None, :]).reshape(4, 4)
+        pair = simulator._gate_matrix(Gate.ry(angle, (0, 1)))
+        assert np.array_equal(pair, broadcast) and pair.tobytes() == broadcast.tobytes(), angle
+
+
 @pytest.mark.parametrize("mode,n", [("serial", 7), ("parallel", 6)])
 def test_solve_gates_sweep_only_where_tracked_qubits_allow(mode, n, monkeypatch):
     received = _record_gates(monkeypatch)
