@@ -13,17 +13,19 @@ Stages (on registers B, E, Anc, BCaux, plus C in parallel mode):
 Postselecting Anc = 1 collapses B onto the normalized solution direction.
 
 Two interchangeable inversion constructions share one slot-term table:
-`_slot_terms` lists the (angle, local B controls) of every rotation pair
-loading slot s of module m (indices j with exactly m trailing zero bits),
-and one emitter turns the terms into RY pairs on the slot's E pair.
+`_slot_terms` returns the angles and the local B controls of the rotation
+pairs loading slot s of module m (indices j with exactly m trailing zero
+bits), and one emitter maps them onto RY pairs on the slot's E pair.
 "semantic" is the reference: one multi-controlled term per local bit
-pattern, with the exact angle.  "bitwise" writes each slot angle as a
-signed linear function of the index bits, one singly-locally-controlled
-term per bit; sign flips only touch the pair cross terms, which never reach
-the postselected branch, so the two agree on everything observable.  A
-bitwise module with at least three terms routes its wide control pattern
-through Anc (free until the flag) with a pair of multi-controlled NOTs,
-which is cheaper than widening every rotation.
+pattern, with the exact angle; a slot's angles come from one
+`identities.sine_angle` call on the array of its odd parts.  "bitwise"
+writes each slot angle as a signed linear function of the index bits, one
+singly-locally-controlled term per bit; sign flips only touch the pair
+cross terms, which never reach the postselected branch, so the two agree
+on everything observable.  A bitwise module with at least three terms
+routes its wide control pattern through Anc (free until the flag) with a
+pair of multi-controlled NOTs, which is cheaper than widening every
+rotation.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from operator import add, getitem
 
 import numpy as np
 
@@ -116,34 +119,36 @@ def _global_pattern(layout: Circuit, m: int) -> tuple[tuple[int, bool], ...]:
 
 
 def _slot_terms(layout: Circuit, n: int, m: int, s: int, ry_construction: str):
-    """(angle, local B controls) of every rotation pair loading slot s of module m.
+    """(angles, local B controls) of the rotation pairs loading slot s of module m.
 
     Slot s >= m carries k = n-s, driven by bits 1..width of the odd part;
     the top slot k = n-m has only n-m-1 significant bits available.
     """
     if s < m:
-        return [(math.pi / 3.0, ())]
+        return [math.pi / 3.0], [()]
     b, pairs = layout.register("B"), _control_pairs(layout.num_qubits)
     k = n - s
     width = min(k, n - m - 1)
     if ry_construction == SEMANTIC:
-        # one exact multi-controlled term per local bit pattern; product()
-        # varies its last factor fastest, so with the factors taken from
-        # B[m+width] down to B[m+1], bit r of the pattern lands on B[m+1+r]
+        # one exact multi-controlled term per local bit pattern p, with the
+        # angle of i = 2p + 1; product() varies its last factor fastest, so
+        # with the factors taken from B[m+width] down to B[m+1] and each
+        # pattern reversed, bit r of p lands on B[m+1+r]
         patterns = itertools.product(*(pairs[b.qubit(m + r)] for r in range(width, 0, -1)))
-        return [(2.0 * identities.sine_angle(k, 1 + 2 * p), controls[::-1])
-                for p, controls in enumerate(patterns)]
+        angles = 2.0 * identities.sine_angle(k, np.arange(1, 2 << width, 2))
+        return angles.tolist(), map(getitem, patterns, itertools.repeat(slice(None, None, -1)))
     # bitwise: the angle as a signed linear function of the index bits
-    return [(math.pi - math.pi / 2**k, ())] + [
-        (-math.pi / 2 ** (k - r), (pairs[b.qubit(m + r)][True],)) for r in range(1, width + 1)
-    ]
+    bits = range(1, width + 1)
+    return ([math.pi - math.pi / 2**k] + [-math.pi / 2 ** (k - r) for r in bits],
+            [()] + [(pairs[b.qubit(m + r)][True],) for r in bits])
 
 
 def _emit_slot(gates, layout, s, terms, source):
     e = layout.register("E")
     pair = (e.qubit(2 * s), e.qubit(2 * s + 1))
-    for angle, locals_ in terms:
-        gates.append(Gate.ry(angle, pair, source + locals_))
+    angles, locals_ = terms
+    controls = map(add, itertools.repeat(source), locals_)
+    gates.extend(map(Gate, itertools.repeat("ry"), itertools.repeat(pair), controls, angles))
 
 
 def _emit_module_serial(gates, layout, n, m, ry_construction):
@@ -151,7 +156,7 @@ def _emit_module_serial(gates, layout, n, m, ry_construction):
     pattern = _global_pattern(layout, m)
     # route a bitwise module's wide pattern through Anc when that is cheaper
     # than widening every rotation in the module
-    routed = ry_construction == BITWISE and m >= 1 and sum(map(len, slots)) >= 3
+    routed = ry_construction == BITWISE and m >= 1 and sum(len(a) for a, _ in slots) >= 3
     anc = layout.register("Anc").qubit(0)
     if routed:
         gates.append(Gate.x(anc, pattern))

@@ -14,7 +14,8 @@ Gate kinds, all real (a block matrix with a nonzero imaginary part is rejected):
 
 Controls carry a polarity: positive fires on |1>, negative on |0>.  The
 cost table charges the same either way (negative controls are X-conjugated
-positives, which the costs absorb).
+positives, which the costs absorb).  Every gate, from a factory, `replace`
+or a direct call, is checked by the one validating `Gate.__init__`.
 
 Resource counting expands every gate through a fixed decomposition cost
 table keyed on (kind, number of controls); depth is greedy ASAP layering,
@@ -22,9 +23,10 @@ both on IR gates (depth_native) and with each gate occupying its expanded
 elementary-depth on its own qubit set (depth_serial).  A Circuit is counted
 when it is built: one pass range-checks its gates and counts the whole
 circuit and every named stage, and `count_resources` looks the table up.
-The pass is run-length: a gate whose qubits tuple equals the previous
-gate's starts where that gate ended, so the range check and the per-qubit
-frontier writes happen once per run of such gates, not once per gate.
+The pass is run-length: a gate whose kind, targets and qubits tuple equal
+the previous gate's starts where that gate ended and costs what it cost, so
+the range check, the cost lookup and the per-qubit frontier writes happen
+once per run of such gates, not once per gate.
 """
 
 from __future__ import annotations
@@ -75,7 +77,11 @@ def _check_orthogonal(m: np.ndarray) -> None:
         raise ValueError(f"block matrix not orthogonal: defect {defect:.3e}")
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+# the one way a Gate sets its frozen fields
+_set = object.__setattr__
+
+
+@dataclass(frozen=True, eq=False, slots=True, init=False)
 class Gate:
     kind: str
     targets: tuple[int, ...]
@@ -84,35 +90,40 @@ class Gate:
     matrix: np.ndarray | None = None
     label: str | None = None
 
-    def __post_init__(self):
-        if self.kind not in GATE_KINDS:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        if not self.targets:
+    def __init__(self, kind, targets, controls=(), angle=None, matrix=None, label=None):
+        if kind not in GATE_KINDS:
+            raise ValueError(f"unknown gate kind {kind!r}")
+        if not targets:
             raise ValueError("gate needs at least one target")
-        qubits = self.qubits
+        qubits = targets + tuple(map(itemgetter(0), controls))
         if len(set(qubits)) != len(qubits):
-            if len(set(self.targets)) != len(self.targets):
+            if len(set(targets)) != len(targets):
                 raise ValueError("duplicate target qubits")
-            if len(set(qubits[len(self.targets):])) != len(self.controls):
+            if len(set(qubits[len(targets):])) != len(controls):
                 raise ValueError("duplicate control qubits")
             raise ValueError("targets and controls must be disjoint")
-        if self.kind == "ry":
-            if self.angle is None:
+        if kind == "ry":
+            if angle is None:
                 raise ValueError("ry gate needs an angle")
-            if len(self.targets) > 2:
+            if len(targets) > 2:
                 raise ValueError("ry supports one or two targets")
-        if self.kind == "x" and len(self.targets) != 1:
+        if kind == "x" and len(targets) != 1:
             raise ValueError("x acts on exactly one target")
-        if self.kind == "block" and self.matrix is not None:
-            m = np.array(as_real(self.matrix, "block matrix"))
-            dim = 2 ** len(self.targets)
-            if m.shape != (dim, dim):
+        if kind == "block" and matrix is not None:
+            matrix = np.array(as_real(matrix, "block matrix"))
+            dim = 2 ** len(targets)
+            if matrix.shape != (dim, dim):
                 raise ValueError(
-                    f"block matrix shape {m.shape} does not match {len(self.targets)} targets"
+                    f"block matrix shape {matrix.shape} does not match {len(targets)} targets"
                 )
-            _check_orthogonal(m)
-            m.flags.writeable = False
-            object.__setattr__(self, "matrix", m)
+            _check_orthogonal(matrix)
+            matrix.flags.writeable = False
+        _set(self, "kind", kind)
+        _set(self, "targets", targets)
+        _set(self, "controls", controls)
+        _set(self, "angle", angle)
+        _set(self, "matrix", matrix)
+        _set(self, "label", label)
 
     @classmethod
     def ry(cls, angle: float, targets, controls=()) -> "Gate":
@@ -120,17 +131,17 @@ class Gate:
             if not is_integer(targets):
                 raise ValueError(f"ry target must be an integer or a tuple, got {targets!r}")
             targets = (targets,)
-        return cls(kind="ry", targets=targets, controls=tuple(controls), angle=float(angle))
+        return cls("ry", targets, tuple(controls), float(angle))
 
     @classmethod
     def x(cls, target: int, controls=()) -> "Gate":
         if not is_integer(target):
             raise ValueError(f"x target must be an integer, got {target!r}")
-        return cls(kind="x", targets=(target,), controls=tuple(controls))
+        return cls("x", (target,), tuple(controls))
 
     @classmethod
     def block(cls, matrix, targets, label: str) -> "Gate":
-        return cls(kind="block", targets=tuple(targets), matrix=matrix, label=label)
+        return cls("block", tuple(targets), (), None, matrix, label)
 
     @property
     def qubits(self) -> tuple[int, ...]:
@@ -144,10 +155,10 @@ class Gate:
         label = self.label
         if label is not None:
             label = label[:-1] if label.endswith("†") else label + "†"
-        adjoint = Gate(kind="block", targets=self.targets, controls=self.controls, label=label)
+        adjoint = Gate("block", self.targets, self.controls, None, None, label)
         # the read-only transposed view of this gate's own checked matrix, the
         # inverse of an orthogonal matrix: neither copied nor re-checked
-        object.__setattr__(adjoint, "matrix", None if self.matrix is None else self.matrix.T)
+        _set(adjoint, "matrix", None if self.matrix is None else self.matrix.T)
         return adjoint
 
 
@@ -224,20 +235,23 @@ def _count_all(circuit: Circuit) -> dict[str | None, ResourceReport]:
     # ASAP frontiers, serial and native, of the whole circuit and of the current
     # stage: each gate occupies its elementary cost or one layer on its qubits.
     # A run of gates on one qubits tuple is placed as a whole, exactly: each
-    # gate of the run starts where the previous one ended.
+    # gate of the run starts where the previous one ended.  A run also shares
+    # its kind and its targets/controls split, so every gate of it costs the
+    # same; gates on one qubits tuple that differ there are consecutive runs.
     frontiers = [[0] * width for _ in range(4)]
     table = {}
     for name, span in (circuit.stages or {None: slice(None)}).items():
         frontiers[2:] = [0] * width, [0] * width
         total = 0
         # islice, not a slice: a copy of the inversion stage would raise peak RSS
-        for qubits, run in groupby(islice(gates, span.start, span.stop), attrgetter("qubits")):
+        stage = islice(gates, span.start, span.stop)
+        for (kind, _, qubits), run in groupby(stage, attrgetter("kind", "targets", "qubits")):
             run = list(run)
             bad = [q for q in qubits if not (is_integer(q) and 0 <= q < width)]
             if bad:
-                raise ValueError(f"gate {run[0].kind!r} touches out-of-range qubits {bad}")
-            costs = list(map(gate_cost, run))
-            cost, layers = sum(costs), len(costs)
+                raise ValueError(f"gate {kind!r} touches out-of-range qubits {bad}")
+            layers = len(run)
+            cost = gate_cost(run[0]) * layers
             total += cost
             for frontier, step in zip(frontiers, (cost, layers, cost, layers)):
                 end = max(map(frontier.__getitem__, qubits)) + step

@@ -33,8 +33,9 @@ def odd_factor(j: int) -> tuple[int, int]:
     return m, j >> m
 
 
-def sine_angle(k: int, i: int) -> float:
-    """|2**k - (i mod 2**(k+1))| / 2**(k+1) * pi, the slot angle in (0, pi/2]."""
+def sine_angle(k: int, i) -> float | np.ndarray:
+    """|2**k - (i mod 2**(k+1))| / 2**(k+1) * pi, the slot angle in (0, pi/2];
+    a float for an int i, an array for an integer array."""
     t = i % (1 << (k + 1))
     return abs((1 << k) - t) / (1 << (k + 1)) * math.pi
 

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import re
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -8,13 +10,16 @@ from hypothesis import strategies as st
 
 from qps.builder import standard_registers
 from qps.circuit import (
+    GATE_KINDS,
     Circuit,
     Gate,
     QubitRegister,
     ResourceReport,
+    _check_orthogonal,
     count_resources,
     gate_cost,
 )
+from qps.real import as_real
 
 REGS = (QubitRegister("A", 2, 0), QubitRegister("B", 2, 2))
 
@@ -46,6 +51,111 @@ def test_gate_validation():
     ]:
         with pytest.raises(ValueError, match=f"^{message}$"):
             make()
+
+
+class _ReferenceGate:
+    """Gate's fields set as a generated dataclass __init__ sets them, then checked
+    by the validating __post_init__ that Gate had before its own __init__."""
+
+    def __init__(self, kind, targets, controls=(), angle=None, matrix=None, label=None):
+        self.kind, self.targets, self.controls = kind, targets, controls
+        self.angle, self.matrix, self.label = angle, matrix, label
+        self.__post_init__()
+
+    @property
+    def qubits(self):
+        return self.targets + tuple(map(itemgetter(0), self.controls))
+
+    def __post_init__(self):
+        if self.kind not in GATE_KINDS:
+            raise ValueError(f"unknown gate kind {self.kind!r}")
+        if not self.targets:
+            raise ValueError("gate needs at least one target")
+        qubits = self.qubits
+        if len(set(qubits)) != len(qubits):
+            if len(set(self.targets)) != len(self.targets):
+                raise ValueError("duplicate target qubits")
+            if len(set(qubits[len(self.targets):])) != len(self.controls):
+                raise ValueError("duplicate control qubits")
+            raise ValueError("targets and controls must be disjoint")
+        if self.kind == "ry":
+            if self.angle is None:
+                raise ValueError("ry gate needs an angle")
+            if len(self.targets) > 2:
+                raise ValueError("ry supports one or two targets")
+        if self.kind == "x" and len(self.targets) != 1:
+            raise ValueError("x acts on exactly one target")
+        if self.kind == "block" and self.matrix is not None:
+            m = np.array(as_real(self.matrix, "block matrix"))
+            dim = 2 ** len(self.targets)
+            if m.shape != (dim, dim):
+                raise ValueError(
+                    f"block matrix shape {m.shape} does not match {len(self.targets)} targets"
+                )
+            _check_orthogonal(m)
+            m.flags.writeable = False
+            object.__setattr__(self, "matrix", m)
+
+
+@st.composite
+def _gate_arguments(draw):
+    """Gate's six arguments, well-formed or not: any kind or an unknown one,
+    distinct or repeated and overlapping qubits, a missing angle, up to three
+    targets, and a block matrix that is orthogonal, misshapen, not orthogonal,
+    complex, or real but complex-typed."""
+    kind = draw(st.sampled_from(GATE_KINDS)) if draw(st.integers(0, 7)) else "h"
+    if draw(st.booleans()):
+        qubits = draw(st.permutations(range(6)))
+        t, c = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        targets, controlled = tuple(qubits[:t]), qubits[t:t + c]
+    else:
+        targets = tuple(draw(st.lists(st.integers(0, 3), min_size=1, max_size=3)))
+        controlled = draw(st.lists(st.integers(0, 3), max_size=3))
+    controls = tuple((q, draw(st.booleans())) for q in controlled)
+    angle = draw(st.floats(-4.0, 4.0)) if draw(st.integers(0, 3)) else None
+    dim = 2 ** len(targets)
+    orthogonal = _random_orthogonal(dim, np.random.default_rng(draw(st.integers(0, 9))))
+    matrix = draw(st.sampled_from([
+        None, orthogonal, np.eye(dim + 1), 1.001 * orthogonal,
+        orthogonal + 1j * np.eye(dim), orthogonal.astype(complex),
+    ]))
+    return kind, targets, controls, angle, matrix, draw(st.none() | st.just("U"))
+
+
+def _outcome(make, *args, **kwargs):
+    """The exception a constructor raises, by type and message, or the gate's fields."""
+    try:
+        g = make(*args, **kwargs)
+    except Exception as exc:  # the type and the message are what is compared
+        return type(exc), str(exc)
+    m = g.matrix
+    return (g.kind, g.targets, g.controls, g.angle, g.label,
+            None if m is None else (m.dtype, m.tolist(), m.flags.writeable))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_gate_arguments())
+def test_gate_validates_as_the_dataclass_post_init_did(arguments):
+    expected = _outcome(_ReferenceGate, *arguments)
+    assert _outcome(Gate, *arguments) == expected
+    names = ("kind", "targets", "controls", "angle", "matrix", "label")
+    assert _outcome(Gate, **dict(zip(names, arguments))) == expected
+
+
+def test_gate_keeps_its_frozen_slotted_dataclass_surface():
+    assert [f.name for f in dataclasses.fields(Gate)] == [
+        "kind", "targets", "controls", "angle", "matrix", "label"]
+    g = Gate.ry(0.5, (0, 1), ((2, True),))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.angle = 1.0
+    assert not hasattr(g, "__dict__")
+    assert g == g and g != Gate.ry(0.5, (0, 1), ((2, True),)) and len({g, g.adjoint()}) == 2
+    # replace builds through the validating constructor
+    assert _fields([dataclasses.replace(g, angle=-0.5)]) == _fields([g.adjoint()])
+    with pytest.raises(ValueError, match="^duplicate target qubits$"):
+        dataclasses.replace(g, targets=(0, 0))
+    with pytest.raises(ValueError, match="^ry gate needs an angle$"):
+        dataclasses.replace(g, angle=None)
 
 
 def test_block_unitarity_enforced():

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ from qps.identities import (
     inversion_value,
     odd_factor,
     odd_layer_residual,
+    sine_angle,
     sine_formula_residual,
 )
 from qps.poisson import EPS, eigenvalue
@@ -169,3 +171,13 @@ def test_inversion_identity_error_rejects_out_of_range():
         inversion_identity_error(21)
     with pytest.raises(ValueError):
         inversion_identity_error(1)
+
+
+@pytest.mark.parametrize("k", range(1, 21))
+def test_sine_angle_on_an_integer_array_is_bit_equal_to_the_scalar_form(k):
+    # the semantic builder takes each slot's angles from one array call, and
+    # the gate fingerprint stops at n=10, so this pins those angles above it
+    odd = range(1, 2 << k, 2)
+    angles = sine_angle(k, np.arange(1, 2 << k, 2))
+    assert angles.dtype == np.float64
+    assert list(map(float.hex, angles.tolist())) == [float.hex(sine_angle(k, i)) for i in odd]
