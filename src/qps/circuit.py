@@ -63,6 +63,8 @@ class QubitRegister:
         return tuple(range(self.offset, self.offset + self.width))
 
     def qubit(self, i: int) -> int:
+        if not is_integer(i):
+            raise ValueError(f"qubit index {i!r} of register {self.name!r} is not an integer")
         if not 0 <= i < self.width:
             raise ValueError(f"qubit index {i} outside register {self.name!r}")
         return self.offset + i

@@ -33,11 +33,13 @@ keeps its columns in order.
 It tracks each qubit that some ry or x gate targets and no block targets, from
 |0> where the kept input's |1> half is exactly zero: an X with controls Q makes
 it [Q], the X with the same Q makes it |0>, any other gate forgets its own
-targets and a gate on a qubit of Q forgets [Q].  While it is |0>, a gate with a
-positive control on it is skipped and each other ry or x gate gains the control
-(qubit, 0); at [Q] a gate with a positive control on it gains the pairs of Q on
-none of its own controls and targets.  No block is narrowed, since a dense
-block's bits can change with its width.  The bits are the plain gate loop's.
+targets and a gate on a qubit of Q forgets [Q].  A gate runs under one tuple of
+controls, its own and those its tracked qubits imply, which `_apply_gate`
+indexes, so `apply` builds no gate.  While a qubit is |0>, a gate with a
+positive control on it is skipped and each other ry or x gate runs under
+(qubit, 0) too; at [Q] a gate with a positive control on it runs under the pairs
+of Q on none of its own controls and targets too.  No block is narrowed, since
+a dense block's bits can change with its width.  The bits are the plain loop's.
 
 No check or readout copies the state: `inject_register` writes only the rows
 it loads, `postselect` returns P and `extract_register` (P, vector).
@@ -58,6 +60,11 @@ POSTSELECT_FLOOR = 1e-12
 RESIDUAL_TOL = 1e-10
 
 
+def _check_num_qubits(num_qubits):
+    if not is_integer(num_qubits) or num_qubits < 0:
+        raise ValueError(f"num_qubits must be an integer >= 0, got {num_qubits!r}")
+
+
 @dataclass(frozen=True)
 class StateVector:
     """A normalized state that owns its amplitude array.
@@ -71,6 +78,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
+        _check_num_qubits(self.num_qubits)
         amps = np.ascontiguousarray(as_real(self.amplitudes, "amplitudes"))
         if amps.shape != (2**self.num_qubits,):
             raise ValueError(
@@ -84,6 +92,7 @@ class StateVector:
 
     @classmethod
     def ground(cls, num_qubits: int) -> "StateVector":
+        _check_num_qubits(num_qubits)
         amps = np.zeros(2**num_qubits)
         amps[0] = 1.0
         return cls(num_qubits, amps)
@@ -123,14 +132,15 @@ def _gate_matrix(gate: Gate) -> np.ndarray:
     return gate.matrix
 
 
-def _apply_gate(tensor: np.ndarray, axis: dict[int, int], gate: Gate):
+def _apply_gate(tensor: np.ndarray, axis: dict[int, int], gate: Gate, controls: tuple):
+    """gate on tensor where each (qubit, bit) of controls holds."""
     matrix = _gate_matrix(gate)
     # target axes most significant first, so that the C-order flattening of
     # the moved block matches the register-value indexing of the matrix;
     # the control axes follow and are indexed away
-    first = [axis[q] for q in (*reversed(gate.targets), *(q for q, _ in gate.controls))]
+    first = [axis[q] for q in (*reversed(gate.targets), *(q for q, _ in controls))]
     moved = tensor.transpose(first + [a for a in range(tensor.ndim) if a not in first])
-    sub = moved[(slice(None),) * len(gate.targets) + tuple(int(p) for _, p in gate.controls)]
+    sub = moved[(slice(None),) * len(gate.targets) + tuple(int(p) for _, p in controls)]
     flat = sub.reshape(len(matrix), -1)
     # a one-column product runs as two-column gemm, never gemv (see above)
     wide = np.repeat(flat, 2, axis=1) if flat.shape[1] == 1 else flat
@@ -166,8 +176,8 @@ def _zero_qubits(tensor: np.ndarray, qubits, fixed=()) -> dict[int, bool]:
     return zero
 
 
-def _widen(gate: Gate, value: dict) -> Gate | None:
-    """gate under the controls its tracked qubits imply; None where it cannot fire."""
+def _widen(gate: Gate, value: dict) -> tuple | None:
+    """gate.controls plus the pairs its tracked qubits imply; None where it cannot fire."""
     known = [value.get(c) for c, bit in gate.controls if bit]
     if False in known:
         return None
@@ -175,11 +185,7 @@ def _widen(gate: Gate, value: dict) -> Gate | None:
     more = {c: bit for pattern in known if pattern for c, bit in pattern if c not in qubits}
     if gate.kind != "block":  # runs only where each tracked |0> qubit is |0>
         more |= {u: False for u, v in value.items() if v is False and u not in qubits}
-    if not more:
-        return gate
-    # built directly: dataclasses.replace costs as much again on each narrowed gate
-    return Gate(gate.kind, gate.targets, gate.controls + tuple(more.items()), gate.angle,
-                gate.matrix, gate.label)
+    return gate.controls + tuple(more.items())
 
 
 def apply(state: StateVector, circuit: Circuit) -> StateVector:
@@ -209,16 +215,14 @@ def apply(state: StateVector, circuit: Circuit) -> StateVector:
     del state, tensor
     axis = {t: a for a, t in enumerate(order)}
     for gate in gates:
-        run = gate
-        if value:
-            run, t, before = _widen(gate, value), gate.targets[0], value.get(gate.targets[0])
-            # forget its targets and each value whose Q it writes
-            value = {u: known for u, known in value.items() if u not in gate.targets
-                     and (not known or all(c not in gate.targets for c, _ in known))}
-            if gate.kind == "x" and before in (False, gate.controls):
-                value[t] = gate.controls if before is False else False
-        if run is not None:
-            _apply_gate(work, axis, run)
+        controls, t, before = _widen(gate, value), gate.targets[0], value.get(gate.targets[0])
+        # forget its targets and each value whose Q it writes
+        value = {u: known for u, known in value.items() if u not in gate.targets
+                 and (not known or all(c not in gate.targets for c, _ in known))}
+        if gate.kind == "x" and before in (False, gate.controls):
+            value[t] = gate.controls if before is False else False
+        if controls is not None:
+            _apply_gate(work, axis, gate, controls)
     amps = np.zeros(2**q)
     _copy(amps.reshape((2,) * q)[select].transpose(perm), work)
     return StateVector(q, amps)

@@ -245,8 +245,13 @@ def test_gate_bounds_checked():
     (lambda: Gate.x(2.0), "x target must be an integer, got 2.0"),
     (lambda: Gate.ry(0.1, True), "ry target must be an integer or a tuple, got True"),
     (lambda: Gate.ry(0.1, 2.0), "ry target must be an integer or a tuple, got 2.0"),
+    (lambda: QubitRegister("B", 3, 4).qubit(2.5),
+     "qubit index 2.5 of register 'B' is not an integer"),
+    (lambda: QubitRegister("B", 3, 4).qubit(True),
+     "qubit index True of register 'B' is not an integer"),
 ], ids=["target", "control", "second-stage", "width", "offset", "standard-registers",
-        "bool-target", "bool-pair", "bool-width", "x-float", "ry-bool", "ry-float"])
+        "bool-target", "bool-pair", "bool-width", "x-float", "ry-bool", "ry-float",
+        "index-float", "index-bool"])
 def test_non_integer_qubit_or_size_rejected(make, message):
     with pytest.raises(ValueError) as exc:
         make()

@@ -43,6 +43,22 @@ def test_statevector_normalization_enforced():
         StateVector(1, np.array([1.0, 1.0]))
 
 
+@pytest.mark.parametrize("make,count", [
+    (lambda: StateVector(2.0, [1.0, 0.0, 0.0, 0.0]), "2.0"),
+    (lambda: StateVector(True, [0.0, 1.0]), "True"),
+    (lambda: StateVector(-1, [1.0]), "-1"),
+    (lambda: StateVector.ground(-1), "-1"),
+    (lambda: StateVector.ground(2.0), "2.0"),
+    (lambda: StateVector.ground(True), "True"),
+], ids=["float", "bool", "negative", "ground-negative", "ground-float", "ground-bool"])
+def test_statevector_rejects_a_qubit_count_that_is_no_integer_or_negative(make, count):
+    with pytest.raises(ValueError, match=rf"^num_qubits must be an integer >= 0, got {count}$"):
+        make()
+    numpy_count = np.int64(2)
+    assert StateVector(numpy_count, np.eye(4)[1]).tensor().shape == (2, 2)
+    assert StateVector.ground(numpy_count).tensor().shape == (2, 2)
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_amplitudes_rejected(bad):
@@ -231,9 +247,9 @@ def test_skipped_half_of_an_idle_qubit_stays_exactly_zero(idle_bit, size, monkey
     sizes = []
     apply_gate = simulator._apply_gate
 
-    def recording(tensor, axis, gate):
+    def recording(tensor, axis, gate, controls):
         sizes.append(tensor.size)
-        apply_gate(tensor, axis, gate)
+        apply_gate(tensor, axis, gate, controls)
 
     monkeypatch.setattr(simulator, "_apply_gate", recording)
     rng = np.random.default_rng(31)
@@ -258,7 +274,7 @@ def _plain_apply(state: StateVector, circuit: Circuit) -> np.ndarray:
     amps = np.array(state.amplitudes)
     axis = {t: q - 1 - t for t in range(q)}
     for gate in circuit.gates:
-        simulator._apply_gate(amps.reshape((2,) * q), axis, gate)
+        simulator._apply_gate(amps.reshape((2,) * q), axis, gate, gate.controls)
     return amps
 
 
@@ -323,9 +339,9 @@ def test_a_widened_gate_may_leave_no_qubit_free(monkeypatch):
     received = []
     apply_gate = simulator._apply_gate
 
-    def recording(tensor, axis, gate):
-        received.append(gate)
-        apply_gate(tensor, axis, gate)
+    def recording(tensor, axis, gate, controls):
+        received.append(controls)
+        apply_gate(tensor, axis, gate, controls)
 
     pattern = ((1, False),)
     circuit = Circuit((QubitRegister("q", 3, 0),),
@@ -338,7 +354,7 @@ def test_a_widened_gate_may_leave_no_qubit_free(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(simulator, "_apply_gate", recording)
             out = apply(state, circuit).amplitudes
-        assert received[1].controls == ((0, True), (1, False))
+        assert received[1] == ((0, True), (1, False))
         assert np.array_equal(out, _plain_apply(state, circuit))
 
 
@@ -440,9 +456,9 @@ def test_bc_blocks_arrive_with_b_on_the_leading_axes(mode, n, monkeypatch):
     received = []
     apply_gate = simulator._apply_gate
 
-    def recording(tensor, axis, gate):
+    def recording(tensor, axis, gate, controls):
         received.append((dict(axis), gate))
-        apply_gate(tensor, axis, gate)
+        apply_gate(tensor, axis, gate, controls)
 
     monkeypatch.setattr(simulator, "_apply_gate", recording)
     solve(QpsConfig(n, mode), np.random.default_rng(n).standard_normal(2**n - 1))
@@ -458,9 +474,9 @@ def test_solve_gates_sweep_only_where_their_computed_controls_fire(mode, n, monk
     received = []
     apply_gate = simulator._apply_gate
 
-    def recording(tensor, axis, gate):
-        received.append((tensor.ndim, gate))
-        apply_gate(tensor, axis, gate)
+    def recording(tensor, axis, gate, controls):
+        received.append((tensor.ndim, gate, controls))
+        apply_gate(tensor, axis, gate, controls)
 
     monkeypatch.setattr(simulator, "_apply_gate", recording)
     circuit = build_qps(QpsConfig(n, mode))
@@ -469,7 +485,7 @@ def test_solve_gates_sweep_only_where_their_computed_controls_fire(mode, n, monk
     apply(inject_register(StateVector.ground(circuit.num_qubits), circuit.register("B"), b),
           circuit)
     kept = received[0][0]  # BCaux is indexed away
-    swept = sum(2 ** (k - len(g.targets) - len(g.controls)) for k, g in received)
+    swept = sum(2 ** (k - len(g.targets) - len(runs_under)) for k, g, runs_under in received)
     plain = sum(2 ** (kept - len(g.targets) - len(g.controls)) for g in circuit.gates)
     # 0.147x at serial n=7 and 0.140x at parallel n=6 (0.36x and 0.41x while
     # only X-only targets were tracked); 1x while every gate ran under its own
@@ -478,13 +494,13 @@ def test_solve_gates_sweep_only_where_their_computed_controls_fire(mode, n, monk
 
 
 def _record_gates(monkeypatch) -> list:
-    """(working tensor rank, gate) of each _apply_gate call from here on."""
+    """(working tensor rank, gate, controls it runs under) of each _apply_gate call from here on."""
     received = []
     apply_gate = simulator._apply_gate
 
-    def recording(tensor, axis, gate):
-        received.append((tensor.ndim, gate))
-        apply_gate(tensor, axis, gate)
+    def recording(tensor, axis, gate, controls):
+        received.append((tensor.ndim, gate, controls))
+        apply_gate(tensor, axis, gate, controls)
 
     monkeypatch.setattr(simulator, "_apply_gate", recording)
     return received
@@ -504,9 +520,30 @@ def test_bc_blocks_multiply_the_whole_kept_state(mode, n, monkeypatch):
     # block is narrowed: a dense 2**n x 2**n product's bits change with its width
     received = _record_gates(monkeypatch)
     solve(QpsConfig(n, mode), np.random.default_rng(n).standard_normal(2**n - 1))
-    blocks = [gate for _, gate in received if gate.kind == "block"]
-    assert [gate.label for gate in blocks] == ["BC", "BC†"]
-    assert all(gate.controls == () for gate in blocks)
+    blocks = [(gate, runs_under) for _, gate, runs_under in received if gate.kind == "block"]
+    assert [gate.label for gate, _ in blocks] == ["BC", "BC†"]
+    assert all(runs_under == () for _, runs_under in blocks)
+
+
+@pytest.mark.parametrize("mode,ry", [("serial", "bitwise"), ("serial", "semantic"),
+                                     ("parallel", "bitwise")])
+def test_apply_builds_no_gate(mode, ry, monkeypatch):
+    # each gate runs under a tuple of controls: the validating constructor ran
+    # once per gate, when the builder made it
+    circuit = build_qps(QpsConfig(5, mode, ry))
+    state = _injected(circuit, 5)
+    built = []
+    init = Gate.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Gate, "__init__", counting)
+    apply(state, circuit)
+    assert built == []
+    Gate.x(0)  # the count sees a gate that is built
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("ry", ["bitwise", "semantic"])
@@ -557,7 +594,7 @@ def test_solve_gates_sweep_only_where_tracked_qubits_allow(mode, n, monkeypatch)
     circuit = build_qps(QpsConfig(n, mode))
     apply(_injected(circuit, 5), circuit)
     kept = received[0][0]  # BCaux is indexed away
-    swept = sum(2 ** (k - len(g.targets) - len(g.controls)) for k, g in received)
+    swept = sum(2 ** (k - len(g.targets) - len(runs_under)) for k, g, runs_under in received)
     plain = sum(2 ** (kept - len(g.targets) - len(g.controls)) for g in circuit.gates)
     # 0.147x at serial n=7 and 0.140x at parallel n=6; 0.36x and 0.41x while
     # only X-only targets were tracked, so E pairs not yet loaded were swept
