@@ -79,22 +79,18 @@ class QpsSolution:
 
 
 def standard_registers(n: int, parallel: bool = False) -> tuple[QubitRegister, ...]:
-    """B (n), E (2n-2), Anc, BCaux; parallel mode appends C (n-2).
+    """B (n), E (2n-2), Anc, BCaux and, in parallel mode, C (n-2), tiled from qubit 0 up.
 
-    Totals 3n qubits serial and 4n-2 parallel.  BCaux is the inert
-    embedding qubit of the basis-conversion accounting.
+    The one place that decides where a register sits.  Totals 3n qubits serial
+    and 4n-2 parallel.  BCaux is the inert embedding qubit of the
+    basis-conversion accounting.
     """
     if not (is_integer(n) and n >= 2):
         raise ValueError(f"n must be an integer >= 2, got {n!r}")
-    regs = [
-        QubitRegister("B", n, 0),
-        QubitRegister("E", 2 * n - 2, n),
-        QubitRegister("Anc", 1, 3 * n - 2),
-        QubitRegister("BCaux", 1, 3 * n - 1),
-    ]
-    if parallel:
-        regs.append(QubitRegister("C", n - 2, 3 * n))
-    return tuple(regs)
+    table = [("B", n), ("E", 2 * n - 2), ("Anc", 1), ("BCaux", 1)]
+    table += [("C", n - 2)] if parallel else []
+    offsets = itertools.accumulate((width for _, width in table), initial=0)
+    return tuple(QubitRegister(name, width, at) for (name, width), at in zip(table, offsets))
 
 
 def bc_matrix(n: int) -> np.ndarray:
@@ -224,8 +220,9 @@ def build_qps(config: QpsConfig, materialize_bc: bool = True) -> Circuit:
     # dense BC only in the solve row; a counting-only BC (matrix None) at any n
     if materialize_bc:
         bounds.check(f"{config.mode} solve", config.n)
-    bc = Gate.block(bc_matrix(config.n) if materialize_bc else None, tuple(range(config.n)), "BC")
     layout, inversion = _inversion_gates(config)
+    matrix = bc_matrix(config.n) if materialize_bc else None
+    bc = Gate.block(matrix, layout.register("B").qubits, "BC")
     stages = (("bc", 1), ("inversion", len(inversion)), ("flag", 1), ("bcdag", 1))
     return Circuit(layout.registers, (bc, *inversion, build_flag(layout), bc.adjoint()), stages)
 

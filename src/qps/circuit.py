@@ -169,6 +169,10 @@ class Circuit:
 
     def __init__(self, registers, gates=(), stages=()):
         regs = tuple(registers)
+        names = [r.name for r in regs]
+        repeated = [name for name in dict.fromkeys(names) if names.count(name) > 1]
+        if repeated:
+            raise ValueError(f"register names repeat: {repeated}")
         spans = sorted((r.offset, r.offset + r.width, r.name) for r in regs)
         position = 0
         for lo, hi, name in spans:
@@ -182,6 +186,10 @@ class Circuit:
         self.stages: dict[str, slice] = {}
         start = 0
         for name, count in stages:
+            if not isinstance(name, str):
+                raise ValueError(f"stage name {name!r} is not a string")
+            if not is_integer(count):
+                raise ValueError(f"stage {name!r} count {count!r} is not an integer")
             if name in self.stages or count < 0:
                 raise ValueError(f"stage {name!r} repeats or has negative count {count}")
             self.stages[name] = slice(start, start + count)

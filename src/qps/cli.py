@@ -137,8 +137,8 @@ def cmd_verify(args) -> int:
     width = max(len(name) for name, _, _ in checks)
     all_ok = True
     for name, ok, detail in checks:
-        all_ok &= ok
-        print(f"{name:<{width}}  {'PASS' if ok else 'FAIL'}  {detail}")
+        all_ok &= ok is None or ok
+        print(f"{name:<{width}}  {'SKIP' if ok is None else 'PASS' if ok else 'FAIL'}  {detail}")
     print("verify:", "all checks passed" if all_ok else "FAILURES present")
     return EXIT_OK if all_ok else EXIT_VERIFY
 

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qps import builder
+from qps import builder, verify
 from qps.bounds import BOUNDS
 from qps.builder import (
     QpsConfig,
@@ -51,9 +52,10 @@ def _basis_input(circ, j, n):
     return inject_register(StateVector.ground(circ.num_qubits), circ.register("B"), amps)
 
 
-def _all_ones_amp(circ, state, j, n):
-    ones = (2 ** (2 * n - 2) - 1) << n
-    return state.amplitudes[j + ones]
+def _all_ones_amp(circ, state, j):
+    """The amplitude at E = |1...1>, B = j and every other register |0>."""
+    e, b = circ.register("E"), circ.register("B")
+    return state.amplitudes[((2**e.width - 1) << e.offset) + (j << b.offset)]
 
 
 def _fields(gates):
@@ -130,9 +132,9 @@ def test_build_bc_bounds():
 def test_inversion_n2_basis_inputs(ry):
     circ = build_inversion_serial(2, ry)
     st = apply(_basis_input(circ, 1, 2), circ)
-    assert abs(_all_ones_amp(circ, st, 1, 2)) == pytest.approx(0.8535533905932737, abs=1e-12)
+    assert abs(_all_ones_amp(circ, st, 1)) == pytest.approx(0.8535533905932737, abs=1e-12)
     st = apply(_basis_input(circ, 2, 2), circ)
-    assert _all_ones_amp(circ, st, 2, 2).real == pytest.approx(0.25, abs=1e-14)
+    assert _all_ones_amp(circ, st, 2).real == pytest.approx(0.25, abs=1e-14)
 
 
 @pytest.mark.parametrize("ry", ["semantic", "bitwise"])
@@ -147,7 +149,7 @@ def test_inversion_n3_uniform_superposition(ry):
     )
     for j in range(1, 8):
         expected = 8 / eigenvalue(n, j) / np.sqrt(7)
-        assert abs(_all_ones_amp(circ, st, j, n)) == pytest.approx(expected, abs=1e-12)
+        assert abs(_all_ones_amp(circ, st, j)) == pytest.approx(expected, abs=1e-12)
 
 
 @pytest.mark.parametrize("ry", ["semantic", "bitwise"])
@@ -156,7 +158,7 @@ def test_amplitude_audit_exhaustive(ry, n):
     circ = build_inversion_serial(n, ry)
     for j in range(1, 2**n):
         out = apply(_basis_input(circ, j, n), circ)
-        amp = _all_ones_amp(circ, out, j, n)
+        amp = _all_ones_amp(circ, out, j)
         assert abs(amp.imag) <= 1e-15
         assert amp.real == pytest.approx(8 / eigenvalue(n, j), abs=1e-12)
 
@@ -198,7 +200,7 @@ def test_qps_composition_uncomputes_bc():
         assert _fields(circ.gates[circ.stages["inversion"]]) == _fields(
             inversion_stage_circuit(config).gates)
         bc, flag, bcdag = (_stage_gate(circ, name) for name in ("bc", "flag", "bcdag"))
-        assert (bc.kind, bc.label, bc.targets) == ("block", "BC", tuple(range(n)))
+        assert (bc.kind, bc.label, bc.targets) == ("block", "BC", circ.register("B").qubits)
         assert (bcdag.kind, bcdag.label, bcdag.targets) == ("block", "BC†", bc.targets)
         assert np.allclose(bc.matrix @ bcdag.matrix, np.eye(2**n), atol=1e-14)
         assert flag.kind == "x"
@@ -644,3 +646,52 @@ def test_bc_adjoint_allocates_nothing_dense():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**10  # re-checking the 1024 x 1024 transpose peaked at 8.4 MB
+
+
+# register layouts: the same registers as standard_registers, tiled from
+# qubit 0 up in another order; a serial layout has every name but C
+LAYOUT_NAMES = ("B", "E", "Anc", "BCaux", "C")
+LAYOUT_CONFIGS = [QpsConfig(n) for n in (3, 4, 5)] + [QpsConfig(n, "parallel") for n in (3, 4)]
+
+
+def _retiled(order):
+    """standard_registers with its registers tiled from qubit 0 up in order."""
+    standard = builder.standard_registers
+
+    def registers(n, parallel=False):
+        by_name = {r.name: r for r in standard(n, parallel)}
+        regs = [by_name[name] for name in order if name in by_name]
+        offsets = itertools.accumulate((r.width for r in regs), initial=0)
+        return tuple(replace(r, offset=o) for r, o in zip(regs, offsets))
+    return registers
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(LAYOUT_CONFIGS), st.permutations(LAYOUT_NAMES))
+def test_solve_agrees_under_any_register_order(config, order):
+    # the bits may move (the readout sums the state in another order), the values may not
+    b = np.random.default_rng(config.n).standard_normal(2**config.n - 1)
+    standard = solve(config, b)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(builder, "standard_registers", _retiled(order))
+        circuit = build_qps(config)
+        ours = builder.solve_circuit(circuit, b)
+    tiled = [r.name for r in sorted(circuit.registers, key=lambda r: r.offset)]
+    assert tiled == [name for name in order if name in tiled]
+    assert np.max(np.abs(ours.solution - standard.solution)) <= 1e-12
+    assert abs(ours.success_probability - standard.success_probability) <= 1e-12
+    assert ours.resources == standard.resources
+
+
+@pytest.mark.parametrize("order", [
+    ("E", "Anc", "C", "B", "BCaux"),
+    ("Anc", "E", "B", "C", "BCaux"),
+    tuple(reversed(LAYOUT_NAMES)),
+], ids=["b-on-top", "b-in-the-middle", "reversed"])
+def test_verify_passes_under_other_register_orders(monkeypatch, order):
+    monkeypatch.setattr(builder, "standard_registers", _retiled(order))
+    assert build_qps(QpsConfig(3)).register("B").offset > 0
+    rows = verify.checks(5, 0, False)
+    assert [name for name, ok, _ in rows if not ok] == [], rows
+    rows = verify.checks(3, 0, True)
+    assert [name for name, ok, _ in rows if not ok] == ["amplitude audit"], rows

@@ -206,6 +206,12 @@ def test_register_tiling_enforced():
         Circuit((QubitRegister("A", 2, 0), QubitRegister("B", 2, 3)))
     with pytest.raises(ValueError):
         Circuit((QubitRegister("A", 2, 0), QubitRegister("B", 2, 1)))
+    # a repeated name would leave register("B") the last register of that name
+    with pytest.raises(ValueError, match=r"^register names repeat: \['B', 'A'\]$"):
+        Circuit([QubitRegister("B", 1, 0), QubitRegister("A", 1, 1), QubitRegister("B", 1, 2),
+                 QubitRegister("A", 1, 3)])
+    with pytest.raises(ValueError, match=r"^register names repeat: \['B'\]$"):
+        Circuit([QubitRegister("B", 1, 0), QubitRegister("B", 1, 1)])
 
 
 def test_gate_bounds_checked():
@@ -295,6 +301,19 @@ def test_stages_tile_the_gates():
             Circuit(REGS, c.gates, stages)
     with pytest.raises(ValueError, match="repeats"):
         Circuit(REGS, c.gates, (("a", 1), ("a", 2)))
+    # a count is an integer, a bool is not; a name is a str, so None never
+    # collides with count_resources' whole-circuit key
+    for stages, message in [
+        ((("a", 1.5), ("b", 1.5)), "stage 'a' count 1.5 is not an integer"),
+        ((("a", True), ("b", 2)), "stage 'a' count True is not an integer"),
+        ((("a", 1), ("b", 2.0)), "stage 'b' count 2.0 is not an integer"),
+        (((None, 1), ("b", 2)), "stage name None is not a string"),
+        ((("a", 1), (2, 2)), "stage name 2 is not a string"),
+        ((("a", 3), ("b", -1)), "stage 'b' repeats or has negative count -1"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Circuit(REGS, c.gates, stages)
+    assert Circuit(REGS, c.gates, (("a", np.int64(1)), ("b", 2))).stages["b"] == slice(1, 3)
 
 
 def test_unknown_stage_rejected():

@@ -121,6 +121,15 @@ def test_verify_default_passes(capsys):
     assert "FAIL" not in out
 
 
+def test_verify_skips_construction_equivalence_below_the_parallel_row(capsys):
+    # the parallel row starts at n=3, so --n-max 2 compares no circuit
+    code, out, _ = run(capsys, "verify", "--n-max", "2")
+    assert code == EXIT_OK
+    assert re.search(r"^construction equivalence +SKIP  parallel mode needs n >= 3$", out, re.M)
+    assert out.count("PASS") == 7 and "FAIL" not in out
+    assert out.endswith("verify: all checks passed\n")
+
+
 def test_verify_fault_injection_detected(capsys):
     code, out, _ = run(capsys, "verify", "--n-max", "3", "--inject-fault")
     assert code == EXIT_VERIFY

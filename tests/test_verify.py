@@ -31,7 +31,7 @@ def _per_input_audit(n, fault=False, branches=None):
         state = simulator.inject_register(
             simulator.StateVector.ground(circ.num_qubits), breg, amps)
         out = simulator.apply(state, circ)
-        got[j] = out.amplitudes[j + ones].real
+        got[j] = out.amplitudes[(j << breg.offset) + ones].real
         worst = max(worst, abs(got[j] - 8.0 / poisson.eigenvalue(n, j)))
     return worst, got
 
