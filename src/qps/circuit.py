@@ -51,6 +51,8 @@ class QubitRegister:
     offset: int
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ValueError(f"register name {self.name!r} is not a string")
         if not (is_integer(self.width) and is_integer(self.offset)):
             raise ValueError(f"register {self.name!r} needs an integer width and offset")
         if self.width < 1:

@@ -29,6 +29,7 @@ def odd_factor(j: int) -> tuple[int, int]:
     """(m, i) with j = 2**m * i, i odd and m maximal (the trailing-zero count)."""
     if not is_integer(j) or j < 1:
         raise ValueError(f"index must be a positive integer, got {j!r}")
+    j = int(j)  # a numpy integer has no bit_length
     m = (j & -j).bit_length() - 1
     return m, j >> m
 

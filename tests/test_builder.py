@@ -1,16 +1,24 @@
 import hashlib
 import itertools
 import os
-import subprocess
 import sys
-import tracemalloc
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from support import (
+    all_ones_amplitude,
+    basis_input,
+    bits,
+    fail,
+    gate_fields,
+    peak_bytes,
+    per_input_amplitudes,
+    run_probe,
+    solve_digest,
+)
 
 from qps import builder, verify
 from qps.bounds import BOUNDS
@@ -44,24 +52,6 @@ from qps.simulator import (
 )
 
 DEMO_B = np.array([2**-0.5, 0.5, 0.5])
-
-
-def _basis_input(circ, j, n):
-    amps = np.zeros(2**n, dtype=complex)
-    amps[j] = 1.0
-    return inject_register(StateVector.ground(circ.num_qubits), circ.register("B"), amps)
-
-
-def _all_ones_amp(circ, state, j):
-    """The amplitude at E = |1...1>, B = j and every other register |0>."""
-    e, b = circ.register("E"), circ.register("B")
-    return state.amplitudes[((2**e.width - 1) << e.offset) + (j << b.offset)]
-
-
-def _fields(gates):
-    """Each gate's fields, its matrix as nested lists; gates themselves compare by identity."""
-    return [(g.kind, g.targets, g.controls, g.angle, g.label,
-             None if g.matrix is None else g.matrix.tolist()) for g in gates]
 
 
 def test_register_layout():
@@ -130,11 +120,9 @@ def test_build_bc_bounds():
 
 @pytest.mark.parametrize("ry", ["semantic", "bitwise"])
 def test_inversion_n2_basis_inputs(ry):
-    circ = build_inversion_serial(2, ry)
-    st = apply(_basis_input(circ, 1, 2), circ)
-    assert abs(_all_ones_amp(circ, st, 1)) == pytest.approx(0.8535533905932737, abs=1e-12)
-    st = apply(_basis_input(circ, 2, 2), circ)
-    assert _all_ones_amp(circ, st, 2).real == pytest.approx(0.25, abs=1e-14)
+    amp = per_input_amplitudes(build_inversion_serial(2, ry), (1, 2))
+    assert abs(amp[1]) == pytest.approx(0.8535533905932737, abs=1e-12)
+    assert amp[2].real == pytest.approx(0.25, abs=1e-14)
 
 
 @pytest.mark.parametrize("ry", ["semantic", "bitwise"])
@@ -149,16 +137,13 @@ def test_inversion_n3_uniform_superposition(ry):
     )
     for j in range(1, 8):
         expected = 8 / eigenvalue(n, j) / np.sqrt(7)
-        assert abs(_all_ones_amp(circ, st, j)) == pytest.approx(expected, abs=1e-12)
+        assert abs(all_ones_amplitude(circ, st, j)) == pytest.approx(expected, abs=1e-12)
 
 
 @pytest.mark.parametrize("ry", ["semantic", "bitwise"])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_amplitude_audit_exhaustive(ry, n):
-    circ = build_inversion_serial(n, ry)
-    for j in range(1, 2**n):
-        out = apply(_basis_input(circ, j, n), circ)
-        amp = _all_ones_amp(circ, out, j)
+    for j, amp in per_input_amplitudes(build_inversion_serial(n, ry), range(1, 2**n)).items():
         assert abs(amp.imag) <= 1e-15
         assert amp.real == pytest.approx(8 / eigenvalue(n, j), abs=1e-12)
 
@@ -197,7 +182,7 @@ def test_qps_composition_uncomputes_bc():
         config = QpsConfig(n=n, mode=mode)
         circ = build_qps(config)
         assert list(circ.stages) == ["bc", "inversion", "flag", "bcdag"]
-        assert _fields(circ.gates[circ.stages["inversion"]]) == _fields(
+        assert gate_fields(circ.gates[circ.stages["inversion"]]) == gate_fields(
             inversion_stage_circuit(config).gates)
         bc, flag, bcdag = (_stage_gate(circ, name) for name in ("bc", "flag", "bcdag"))
         assert (bc.kind, bc.label, bc.targets) == ("block", "BC", circ.register("B").qubits)
@@ -309,13 +294,6 @@ def test_solve_rejects_bad_input():
         solve(QpsConfig(n=2), np.ones((3, 1)))
 
 
-def _bits(out):
-    if isinstance(out, np.ndarray):
-        return out.tobytes()
-    return (out.solution.tobytes(), out.classical_reference.tobytes(),
-            out.fidelity.hex(), out.success_probability.hex())
-
-
 @pytest.mark.parametrize("oracle", [
     lambda b: solve(QpsConfig(n=2), b),
     lambda b: solve_classical(TridiagonalSystem(N=4), b),
@@ -327,7 +305,7 @@ def test_complex_rhs_rejected_unless_imaginary_part_is_zero(oracle):
         with pytest.raises(ValueError,
                            match="^right-hand side must be real, got a nonzero imaginary part$"):
             oracle(b + imag * np.array([1, 0, 0]))
-    assert _bits(oracle(b.astype(complex))) == _bits(oracle(b))
+    assert bits(oracle(b.astype(complex))) == bits(oracle(b))
 
 
 def test_config_validation():
@@ -394,8 +372,8 @@ def test_parallel_inversion_unitary_equals_serial():
     ser = build_inversion_serial(n)
     par = build_inversion_parallel(n)
     for j in range(1, 2**n):
-        out_s = apply(_basis_input(ser, j, n), ser)
-        out_p = apply(_basis_input(par, j, n), par)
+        out_s = apply(basis_input(ser, j), ser)
+        out_p = apply(basis_input(par, j), par)
         dim = 2 ** (3 * n)  # parallel layout extends beyond serial's qubits
         assert np.allclose(out_p.amplitudes[:dim], out_s.amplitudes, atol=1e-12)
         assert np.linalg.norm(out_p.amplitudes[dim:]) <= 1e-12
@@ -461,12 +439,8 @@ def test_gates_share_their_control_pairs(mode, ry):
 
 
 def test_semantic_build_peak_memory():
-    tracemalloc.start()
-    try:
-        circuit = build_qps(QpsConfig(12, "serial", "semantic"), materialize_bc=False)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    circuit, peak = peak_bytes(
+        lambda: build_qps(QpsConfig(12, "serial", "semantic"), materialize_bc=False))
     assert len(circuit.gates) == 12307
     assert peak <= 6e6  # a fresh (qubit, polarity) tuple per control peaks at 11.2 MB
 
@@ -476,12 +450,8 @@ def test_inversion_slice_is_the_inversion_stage(mode, ry):
     for n in range(3, 11):
         config = QpsConfig(n, mode, ry)
         circuit = build_qps(config, materialize_bc=False)
-        assert _fields(circuit.gates[circuit.stages["inversion"]]) == _fields(
+        assert gate_fields(circuit.gates[circuit.stages["inversion"]]) == gate_fields(
             inversion_stage_circuit(config).gates)
-
-
-def _fail(*args, **kwargs):
-    raise AssertionError("called past an out-of-range n")
 
 
 PAST_THE_SOLVE_ROWS = [
@@ -491,8 +461,8 @@ PAST_THE_SOLVE_ROWS = [
 
 
 def test_solve_checks_its_bound_before_allocating(monkeypatch):
-    monkeypatch.setattr(StateVector, "ground", _fail)
-    monkeypatch.setattr(builder, "bc_matrix", _fail)
+    monkeypatch.setattr(StateVector, "ground", fail)
+    monkeypatch.setattr(builder, "bc_matrix", fail)
     for config, message in PAST_THE_SOLVE_ROWS:
         with pytest.raises(ValueError, match=message):
             builder.solve(config, np.ones(2**config.n - 1))
@@ -508,12 +478,12 @@ def test_solve_circuit_matches_solve_byte_for_byte(mode, ry):
         for seed in range(2):
             b = np.random.default_rng([seed, n]).standard_normal(2**n - 1)
             ours, theirs = builder.solve_circuit(circuit, b), solve(QpsConfig(n, mode, ry), b)
-            assert (_bits(ours), ours.resources) == (_bits(theirs), theirs.resources), (n, seed)
+            assert (bits(ours), ours.resources) == (bits(theirs), theirs.resources), (n, seed)
 
 
 def test_solve_circuit_rejects_a_counting_only_circuit_before_allocating(monkeypatch):
     circuit = build_qps(QpsConfig(15), materialize_bc=False)
-    monkeypatch.setattr(StateVector, "ground", _fail)
+    monkeypatch.setattr(StateVector, "ground", fail)
     with pytest.raises(ValueError, match="counting-only circuit"):
         builder.solve_circuit(circuit, np.ones(2**15 - 1))
 
@@ -526,7 +496,7 @@ def test_solve_circuit_rejects_a_circuit_without_register_e():
 
 
 def test_default_build_past_the_solve_row_raises_before_bc_matrix(monkeypatch):
-    monkeypatch.setattr(builder, "bc_matrix", _fail)
+    monkeypatch.setattr(builder, "bc_matrix", fail)
     for config, message in PAST_THE_SOLVE_ROWS:
         with pytest.raises(ValueError, match=message):
             build_qps(config)
@@ -549,16 +519,19 @@ def test_default_build_materializes_bc_in_every_solve_row(mode):
 SOLVE_FINGERPRINT = "b913a6c22d35893c583f70acb8b9b7c406bdea2a7080db2c51debb58b567041c"
 
 
+def _three_kinds(n, seed):
+    """Seeded Gaussian, sin and 1e300 x the same Gaussian b at grid exponent n."""
+    gauss = np.random.default_rng([seed, n]).standard_normal(2**n - 1)
+    return gauss, preset_rhs("sin", n), 1e300 * gauss
+
+
 def test_solve_output_fingerprint_unchanged():
-    digest = hashlib.sha256()
-    for ry in ("bitwise", "semantic"):
-        for mode, ns in (("serial", range(2, 7)), ("parallel", range(3, 6))):
-            for n in ns:
-                gauss = np.random.default_rng([11, n]).standard_normal(2**n - 1)
-                for b in (gauss, preset_rhs("sin", n), 1e300 * gauss):
-                    solution, reference, fid, prob = _bits(solve(QpsConfig(n, mode, ry), b))
-                    digest.update(solution + reference + f"{fid} {prob}".encode())
-    assert digest.hexdigest() == SOLVE_FINGERPRINT
+    assert solve_digest(
+        (QpsConfig(n, mode, ry), b)
+        for ry in ("bitwise", "semantic")
+        for mode, ns in (("serial", range(2, 7)), ("parallel", range(3, 6)))
+        for n in ns
+        for b in _three_kinds(n, 11)) == SOLVE_FINGERPRINT
 
 
 # SHA-256 of the same bits for the benchmark's solve sizes: serial n=7 and
@@ -568,13 +541,10 @@ SOLVE_N7_FINGERPRINT = "b2b59fa651a1c0c825107663ca155e421d4e94cd5f43cf3e207f2ffc
 
 
 def _solve_n7_digest() -> str:
-    digest = hashlib.sha256()
-    for ry in ("bitwise", "semantic"):
-        for mode, n in (("serial", 7), ("parallel", 6)):
-            b = np.random.default_rng([11, n]).standard_normal(2**n - 1)
-            solution, reference, fid, prob = _bits(solve(QpsConfig(n, mode, ry), b))
-            digest.update(solution + reference + f"{fid} {prob}".encode())
-    return digest.hexdigest()
+    return solve_digest(
+        (QpsConfig(n, mode, ry), np.random.default_rng([11, n]).standard_normal(2**n - 1))
+        for ry in ("bitwise", "semantic")
+        for mode, n in (("serial", 7), ("parallel", 6)))
 
 
 def test_solve_n7_fingerprint_unchanged():
@@ -587,12 +557,7 @@ def test_solve_n7_fingerprint_holds_at_two_blas_threads():
     # digest, and counts its threads to show that OpenBLAS really runs two
     probe = ("import os, test_builder; "
              "print(test_builder._solve_n7_digest(), len(os.listdir('/proc/self/task')))")
-    tests = Path(__file__).resolve().parent
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
-           "PYTHONPATH": os.pathsep.join((str(tests.parent / "src"), str(tests)))}
-    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                            check=True, env=env)
-    digest, threads = result.stdout.split()
+    digest, threads = run_probe(probe, {"OPENBLAS_NUM_THREADS": "2"}).split()
     # OpenBLAS runs no more threads than the process has cores
     assert int(threads) == min(2, len(os.sched_getaffinity(0)))
     assert digest == SOLVE_N7_FINGERPRINT
@@ -605,23 +570,17 @@ PARALLEL_N6_FINGERPRINT = "3a0955d54ff803979983f7f8630584a607ca6e0de76cc61a4b5c5
 
 
 def test_parallel_n6_solve_fingerprint_unchanged():
-    digest = hashlib.sha256()
-    gauss = np.random.default_rng([12, 6]).standard_normal(2**6 - 1)
-    for ry in ("bitwise", "semantic"):
-        for b in (gauss, preset_rhs("sin", 6), 1e300 * gauss):
-            solution, reference, fid, prob = _bits(solve(QpsConfig(6, "parallel", ry), b))
-            digest.update(solution + reference + f"{fid} {prob}".encode())
-    assert digest.hexdigest() == PARALLEL_N6_FINGERPRINT
+    assert solve_digest((QpsConfig(6, "parallel", ry), b) for ry in ("bitwise", "semantic")
+                        for b in _three_kinds(6, 12)) == PARALLEL_N6_FINGERPRINT
+
+
+def _bc_and_adjoint(n):
+    bc = Gate.block(bc_matrix(n), tuple(range(n)), "BC")
+    return bc, bc.adjoint()
 
 
 def test_bc_block_is_a_lean_real_matrix():
-    tracemalloc.start()
-    try:
-        bc = Gate.block(bc_matrix(10), tuple(range(10)), "BC")
-        bcdag = bc.adjoint()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (bc, bcdag), peak = peak_bytes(lambda: _bc_and_adjoint(10))
     assert peak < 32 * 2**20  # 64 MiB while blocks were stored as complex128
     assert bc.matrix.dtype == np.float64 and not bc.matrix.flags.writeable
     assert np.array_equal(bcdag.matrix, bc.matrix.T)
@@ -639,12 +598,7 @@ def test_bc_adjoint_is_the_checked_matrix(n):
 
 def test_bc_adjoint_allocates_nothing_dense():
     bc = Gate.block(bc_matrix(10), tuple(range(10)), "BC")
-    tracemalloc.start()
-    try:
-        bc.adjoint()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = peak_bytes(bc.adjoint)
     assert peak < 64 * 2**10  # re-checking the 1024 x 1024 transpose peaked at 8.4 MB
 
 

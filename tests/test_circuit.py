@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from support import gate_fields, random_orthogonal
 
 from qps.builder import standard_registers
 from qps.circuit import (
@@ -22,17 +23,6 @@ from qps.circuit import (
 from qps.real import as_real
 
 REGS = (QubitRegister("A", 2, 0), QubitRegister("B", 2, 2))
-
-
-def _random_orthogonal(dim, rng):
-    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-    return q
-
-
-def _fields(gates):
-    """Each gate's fields, its matrix as nested lists; gates themselves compare by identity."""
-    return [(g.kind, g.targets, g.controls, g.angle, g.label,
-             None if g.matrix is None else g.matrix.tolist()) for g in gates]
 
 
 def test_gate_validation():
@@ -114,7 +104,7 @@ def _gate_arguments(draw):
     controls = tuple((q, draw(st.booleans())) for q in controlled)
     angle = draw(st.floats(-4.0, 4.0)) if draw(st.integers(0, 3)) else None
     dim = 2 ** len(targets)
-    orthogonal = _random_orthogonal(dim, np.random.default_rng(draw(st.integers(0, 9))))
+    orthogonal = random_orthogonal(dim, np.random.default_rng(draw(st.integers(0, 9))))
     matrix = draw(st.sampled_from([
         None, orthogonal, np.eye(dim + 1), 1.001 * orthogonal,
         orthogonal + 1j * np.eye(dim), orthogonal.astype(complex),
@@ -151,7 +141,7 @@ def test_gate_keeps_its_frozen_slotted_dataclass_surface():
     assert not hasattr(g, "__dict__")
     assert g == g and g != Gate.ry(0.5, (0, 1), ((2, True),)) and len({g, g.adjoint()}) == 2
     # replace builds through the validating constructor
-    assert _fields([dataclasses.replace(g, angle=-0.5)]) == _fields([g.adjoint()])
+    assert gate_fields([dataclasses.replace(g, angle=-0.5)]) == gate_fields([g.adjoint()])
     with pytest.raises(ValueError, match="^duplicate target qubits$"):
         dataclasses.replace(g, targets=(0, 0))
     with pytest.raises(ValueError, match="^ry gate needs an angle$"):
@@ -169,7 +159,7 @@ def test_block_unitarity_enforced():
 
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_block_is_an_owned_read_only_real_copy(dtype):
-    q = _random_orthogonal(4, np.random.default_rng(1))
+    q = random_orthogonal(4, np.random.default_rng(1))
     source = q.astype(dtype)
     g = Gate.block(source, (0, 1), label="Q")
     source[0, 0] = 2.0
@@ -179,7 +169,7 @@ def test_block_is_an_owned_read_only_real_copy(dtype):
 
 
 def test_block_adjoint_is_a_read_only_view_but_caller_arrays_are_copied():
-    q = _random_orthogonal(4, np.random.default_rng(2))
+    q = random_orthogonal(4, np.random.default_rng(2))
     q.flags.writeable = False
     g = Gate.block(q, (0, 1), label="Q")
     assert not np.shares_memory(g.matrix, q)
@@ -188,7 +178,7 @@ def test_block_adjoint_is_a_read_only_view_but_caller_arrays_are_copied():
     assert not adjoint.matrix.flags.writeable
     assert adjoint.label == "Q†" and np.array_equal(adjoint.matrix, q.T)
     back = adjoint.adjoint()
-    assert _fields([back]) == _fields([g]) and np.array_equal(back.matrix, g.matrix)
+    assert gate_fields([back]) == gate_fields([g]) and np.array_equal(back.matrix, g.matrix)
 
 
 @pytest.mark.parametrize("imag", [1j, 1e-300j, complex(0, np.nan)])
@@ -255,9 +245,14 @@ def test_gate_bounds_checked():
      "qubit index 2.5 of register 'B' is not an integer"),
     (lambda: QubitRegister("B", 3, 4).qubit(True),
      "qubit index True of register 'B' is not an integer"),
+    (lambda: QubitRegister(None, 1, 0), "register name None is not a string"),
+    (lambda: QubitRegister("A", 0, 0), "register 'A' must have width >= 1"),
+    (lambda: QubitRegister("A", 1, -1), "register 'A' has negative offset"),
+    (lambda: QubitRegister("B", 2, 0).qubit(2), "qubit index 2 outside register 'B'"),
 ], ids=["target", "control", "second-stage", "width", "offset", "standard-registers",
         "bool-target", "bool-pair", "bool-width", "x-float", "ry-bool", "ry-float",
-        "index-float", "index-bool"])
+        "index-float", "index-bool", "name-none", "width-zero", "offset-negative",
+        "index-past"])
 def test_non_integer_qubit_or_size_rejected(make, message):
     with pytest.raises(ValueError) as exc:
         make()
@@ -272,7 +267,7 @@ def test_numpy_integer_qubits_accepted():
 
 def test_adjoint_of_rotation_negates_angle():
     g = Gate.ry(math.pi / 3, 0)
-    assert _fields([g.adjoint()]) == _fields([Gate.ry(-math.pi / 3, 0)])
+    assert gate_fields([g.adjoint()]) == gate_fields([Gate.ry(-math.pi / 3, 0)])
 
 
 def test_adjoint_is_involution_gate_for_gate():
@@ -280,10 +275,10 @@ def test_adjoint_is_involution_gate_for_gate():
     gates = [
         Gate.ry(0.7, 0, controls=((2, False),)),
         Gate.x(1, controls=((3, True),)),
-        Gate.block(_random_orthogonal(4, rng), (1, 2), label="U"),
+        Gate.block(random_orthogonal(4, rng), (1, 2), label="U"),
         Gate.ry(-0.2, (2, 3)),
     ]
-    assert _fields(g.adjoint().adjoint() for g in gates) == _fields(gates)
+    assert gate_fields(g.adjoint().adjoint() for g in gates) == gate_fields(gates)
 
 
 def _staged():

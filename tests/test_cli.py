@@ -1,20 +1,18 @@
+import ast
 import dataclasses
 import hashlib
 import json
 import math
-import os
 import pkgutil
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from support import edit_gates, fail, run_probe
 
 from qps import bounds, builder, cli, identities, verify
 from qps.bounds import BOUNDS
-from qps.circuit import Circuit
 from qps.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VERIFY, main
 from qps.simulator import StateVector
 
@@ -143,13 +141,9 @@ def test_verify_rejects_negative_seed(capsys):
     assert err == "error: --seed must be >= 0, got -1\n"
 
 
-def _fail(*args, **kwargs):
-    raise AssertionError("called past an out-of-range n")
-
-
 def test_verify_checks_owns_its_bound(monkeypatch):
     for name in ("solve", "build_qps", "solve_circuit"):
-        monkeypatch.setattr(builder, name, _fail)
+        monkeypatch.setattr(builder, name, fail)
     with pytest.raises(ValueError, match=r"serial simulation supports n in \[2, 6\], got 7"):
         verify.checks(7, 0, False)
 
@@ -172,7 +166,7 @@ CLI_ROWS = [
 def test_cli_rejects_n_outside_its_row(capsys, monkeypatch, argv, row, n):
     for owner, name in ((StateVector, "ground"), (builder, "bc_matrix"),
                         (builder, "build_qps"), (cli, "build_qps")):
-        monkeypatch.setattr(owner, name, _fail)
+        monkeypatch.setattr(owner, name, fail)
     code, out, err = run(capsys, *argv, str(n))
     lo, hi = BOUNDS[row]
     assert code == EXIT_CONFIG
@@ -232,11 +226,7 @@ def test_readme_ranges_match_the_bound_table(pattern, rows):
 
 def test_bounds_imports_without_numpy():
     # the package root re-exports nothing, so a leaf module loads alone
-    src = Path(__file__).resolve().parent.parent / "src"
-    probe = "import sys, qps.bounds; print('numpy' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                            check=True, env={**os.environ, "PYTHONPATH": str(src)})
-    assert result.stdout == "False\n"
+    assert run_probe("import sys, qps.bounds; print('numpy' in sys.modules)") == "False\n"
 
 
 def test_integer_rule_lives_only_in_real():
@@ -250,50 +240,52 @@ def test_integer_rule_lives_only_in_real():
     assert found == []
 
 
-def _edit_gates(monkeypatch, name, edit):
-    """Patch qps.builder.<name> to return its circuit with edit applied to the gate list."""
-    original = getattr(builder, name)
-
-    def faulty(*args, **kwargs):
-        circuit = original(*args, **kwargs)
-        return Circuit(circuit.registers, edit(list(circuit.gates)))
-
-    monkeypatch.setattr(builder, name, faulty)
+def test_each_test_helper_is_defined_once():
+    # a function or class that two test modules need lives in tests/support.py
+    defined = {}
+    for path in sorted(Path(__file__).resolve().parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not node.name.startswith("test_")):
+                defined.setdefault(node.name, []).append(path.name)
+    assert {name: files for name, files in defined.items() if len(files) > 1} == {}
 
 
 def _first(gates, predicate):
     return next(i for i, g in enumerate(gates) if predicate(g))
 
 
-def _drop_first_ry(gates):
+def _drop_first_ry(circuit):
+    gates = list(circuit.gates)
     del gates[_first(gates, lambda g: g.kind == "ry")]
     return gates
 
 
-def _flip_first_control(gates):
+def _flip_first_control(circuit):
+    gates = list(circuit.gates)
     i = _first(gates, lambda g: g.controls)
     (qubit, positive), *rest = gates[i].controls
     gates[i] = dataclasses.replace(gates[i], controls=((qubit, not positive), *rest))
     return gates
 
 
-def _rotate_bc_rows(monkeypatch):
-    """Mix BC rows 1 and 2 by a small Givens rotation; the block stays unitary."""
+def _rotate_bc_rows(monkeypatch, rows=(1, 2)):
+    """Mix two BC rows by a small Givens rotation; the block stays unitary."""
     original = builder.bc_matrix
     c, s = math.cos(0.01), math.sin(0.01)
 
     def faulty(n):
         matrix = original(n)
-        matrix[[1, 2]] = np.array([[c, -s], [s, c]]) @ matrix[[1, 2]]
+        matrix[list(rows)] = np.array([[c, -s], [s, c]]) @ matrix[list(rows)]
         return matrix
 
     monkeypatch.setattr(builder, "bc_matrix", faulty)
 
 
 @pytest.mark.parametrize("fault", [
-    lambda mp: _edit_gates(mp, "build_inversion_serial", _drop_first_ry),
-    lambda mp: _edit_gates(mp, "build_inversion_serial", _flip_first_control),
-    lambda mp: _edit_gates(mp, "build_qps", lambda gates: gates[:-1]),
+    lambda mp: edit_gates(mp, "build_inversion_serial", _drop_first_ry),
+    lambda mp: edit_gates(mp, "build_inversion_serial", _flip_first_control),
+    lambda mp: edit_gates(mp, "build_qps", lambda circuit: circuit.gates[:-1]),
     _rotate_bc_rows,
 ], ids=["drop-first-ry", "flip-control", "drop-bc-dagger", "rotate-bc-rows"])
 def test_verify_fault_matrix(capsys, monkeypatch, fault):
@@ -434,6 +426,26 @@ def test_runtime_error_maps_to_verify_exit(capsys, monkeypatch):
     assert code == EXIT_VERIFY
     assert err == "error: postselection impossible: outcome probability 0\n"
     assert "Traceback" not in out + err
+
+
+def test_solve_rejects_a_readout_off_the_solution_directions(capsys, monkeypatch):
+    # BC rows 0 and 1 mixed: the postselected B keeps weight on |0>, no grid point
+    _rotate_bc_rows(monkeypatch, (0, 1))
+    assert run(capsys, "solve", "--n", "3", "--preset", "sin") == (
+        EXIT_VERIFY, "", "error: postselected register B is not a real solution direction\n")
+
+
+@pytest.mark.parametrize("option,value,code,message", [
+    ("--b", "1,x,3", EXIT_CONFIG, "bad --b list: could not convert string to float: 'x'"),
+    ("--b", "1,2", EXIT_CONFIG, "--b needs 3 comma-separated values, got 2"),
+    ("--file", "1\nabc\n3\n", EXIT_IO,
+     "bad value in b file: could not convert string to float: 'abc'"),
+], ids=["b-not-a-number", "b-too-short", "file-not-a-number"])
+def test_solve_names_what_is_wrong_with_b(tmp_path, capsys, option, value, code, message):
+    if option == "--file":
+        (tmp_path / "b.csv").write_text(value)
+        value = str(tmp_path / "b.csv")
+    assert run(capsys, "solve", "--n", "2", option, value) == (code, "", f"error: {message}\n")
 
 
 def _transcript_argvs():

@@ -18,7 +18,7 @@ from qps.poisson import EPS, eigenvalue
 
 
 def test_odd_factor_examples():
-    assert odd_factor(1) == odd_factor(1)
+    assert odd_factor(np.int64(12)) == (2, 3)
     assert odd_factor(1) == (0, 1)
     assert odd_factor(12) == (2, 3)
     assert odd_factor(64) == (6, 1)

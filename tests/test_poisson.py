@@ -1,10 +1,10 @@
 import hashlib
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from support import peak_bytes
 
 from qps import poisson
 from qps.builder import bc_matrix
@@ -70,8 +70,13 @@ def test_eigenvalue_rejects_out_of_range():
     (lambda: TridiagonalSystem(N=4.0), "grid count N must be an integer >= 2, got 4.0"),
     (lambda: TridiagonalSystem(N="4"), "grid count N must be an integer >= 2, got '4'"),
     (lambda: eigenvalue(True, 1), "n must be an integer >= 1, got True"),
+    (lambda: solve_classical(TridiagonalSystem(N=4), np.ones(4)),
+     "dimension mismatch: system size 3, b length 4"),
+    (lambda: spectral_solve(2, np.ones(4)), "b must have length 3"),
+    (lambda: preset_solution("nope", 3),
+     "unknown preset 'nope'; choose from ['const', 'ramp', 'sin']"),
 ], ids=["eigenvalue-float", "eigenvalue-float-array", "eigenvalue-str", "N-float", "N-str",
-        "eigenvalue-bool-n"])
+        "eigenvalue-bool-n", "thomas-length", "spectral-length", "preset-solution-name"])
 def test_non_integer_index_or_grid_rejected(make, message):
     with pytest.raises(ValueError) as exc:
         make()
@@ -203,12 +208,7 @@ def test_oracles_form_nothing_dense_at_n12():
     b = np.random.default_rng(12).standard_normal(2**12 - 1)
     for oracle in (lambda: solve_classical(TridiagonalSystem(N=2**12), b),
                    lambda: spectral_solve(12, b)):
-        tracemalloc.start()
-        try:
-            oracle()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = peak_bytes(oracle)
         assert peak < 8e6  # the dense 4095 x 4095 matrix alone is 134 MB
 
 

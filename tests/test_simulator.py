@@ -1,16 +1,13 @@
 import functools
 import math
-import os
-import subprocess
 import sys
-import tracemalloc
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from support import peak_bytes, random_orthogonal, record_gates, run_probe
 
 from qps import simulator
 from qps.builder import QpsConfig, build_qps, solve
@@ -31,11 +28,6 @@ A, B = REGS
 def _state(amps):
     amps = np.asarray(amps, dtype=float)
     return StateVector(int(np.log2(len(amps))), amps / np.linalg.norm(amps))
-
-
-def _random_orthogonal(dim, rng):
-    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-    return q
 
 
 def test_statevector_normalization_enforced():
@@ -161,7 +153,7 @@ def _random_circuits(draw):
         elif kind == "x":
             gates.append(Gate.x(targets[0], controls))
         else:
-            matrix = _random_orthogonal(2**width, np.random.default_rng(
+            matrix = random_orthogonal(2**width, np.random.default_rng(
                 draw(st.integers(0, 2**32 - 1))))
             gates.append(Gate(kind="block", targets=targets, controls=controls,
                               matrix=matrix, label=kind))
@@ -244,14 +236,7 @@ def test_a_tiny_amplitude_in_the_last_slab_is_not_skipped():
 
 @pytest.mark.parametrize("idle_bit,size", [(0, 8), (1, 16)], ids=["0", "1"])
 def test_skipped_half_of_an_idle_qubit_stays_exactly_zero(idle_bit, size, monkeypatch):
-    sizes = []
-    apply_gate = simulator._apply_gate
-
-    def recording(tensor, axis, gate, controls):
-        sizes.append(tensor.size)
-        apply_gate(tensor, axis, gate, controls)
-
-    monkeypatch.setattr(simulator, "_apply_gate", recording)
+    received = record_gates(monkeypatch)
     rng = np.random.default_rng(31)
     half = rng.standard_normal(8)
     amps = np.zeros(16)
@@ -259,12 +244,12 @@ def test_skipped_half_of_an_idle_qubit_stays_exactly_zero(idle_bit, size, monkey
     state = _state(amps)
     circuit = Circuit((QubitRegister("q", 4, 0),),
                       [Gate.ry(0.4, (0, 1), ((2, False),)), Gate.x(2, ((0, True),)),
-                       Gate.block(_random_orthogonal(4, rng), (1, 2), label="U")])
+                       Gate.block(random_orthogonal(4, rng), (1, 2), label="U")])
     out = apply(state, circuit)
     other = out.amplitudes[8 * (1 - idle_bit):8 * (1 - idle_bit) + 8]
     assert not other.any()
     # an idle |0> is indexed away; an idle |1> is simulated in full
-    assert sizes == [size] * 3
+    assert [math.prod(call.shape) for call in received] == [size] * 3
     assert np.max(np.abs(out.amplitudes - _oracle_apply(state, circuit))) <= 1e-12
 
 
@@ -336,13 +321,6 @@ def test_gates_under_an_x_computed_control_match_the_plain_loop(data, seed):
 def test_a_widened_gate_may_leave_no_qubit_free(monkeypatch):
     # qubit 0 = [qubit 1 at |0>]; widened by that pair, the rotation leaves a
     # one-column product, which runs as two-column gemm like the plain loop's
-    received = []
-    apply_gate = simulator._apply_gate
-
-    def recording(tensor, axis, gate, controls):
-        received.append(controls)
-        apply_gate(tensor, axis, gate, controls)
-
     pattern = ((1, False),)
     circuit = Circuit((QubitRegister("q", 3, 0),),
                       [Gate.x(0, pattern), Gate.ry(1.0, 2, ((0, True),)), Gate.x(0, pattern)])
@@ -350,11 +328,10 @@ def test_a_widened_gate_may_leave_no_qubit_free(monkeypatch):
         amps = np.random.default_rng(seed).standard_normal((2, 2, 2))
         amps[:, :, 1] = 0.0
         state = _state(amps.reshape(-1))
-        received.clear()
         with monkeypatch.context() as patch:
-            patch.setattr(simulator, "_apply_gate", recording)
+            received = record_gates(patch)
             out = apply(state, circuit).amplitudes
-        assert received[1] == ((0, True), (1, False))
+        assert received[1].controls == ((0, True), (1, False))
         assert np.array_equal(out, _plain_apply(state, circuit))
 
 
@@ -391,7 +368,7 @@ def _draw_gates(data, busy, rng) -> list[Gate]:
             gates.append(Gate.x(targets[0], controls))
         else:
             gates.append(Gate(kind="block", targets=targets, controls=controls,
-                              matrix=_random_orthogonal(2**width, rng), label="U"))
+                              matrix=random_orthogonal(2**width, rng), label="U"))
     return gates
 
 
@@ -453,57 +430,38 @@ def test_blas_rounds_each_column_of_a_small_product_alike_wherever_it_sits(width
 
 @pytest.mark.parametrize("mode,n", [("serial", 6), ("parallel", 5)])
 def test_bc_blocks_arrive_with_b_on_the_leading_axes(mode, n, monkeypatch):
-    received = []
-    apply_gate = simulator._apply_gate
-
-    def recording(tensor, axis, gate, controls):
-        received.append((dict(axis), gate))
-        apply_gate(tensor, axis, gate, controls)
-
-    monkeypatch.setattr(simulator, "_apply_gate", recording)
+    received = record_gates(monkeypatch)
     solve(QpsConfig(n, mode), np.random.default_rng(n).standard_normal(2**n - 1))
-    blocks = [(axis, gate) for axis, gate in received if gate.kind == "block"]
+    blocks = [call for call in received if call.gate.kind == "block"]
     assert len(blocks) == 2  # BC and BC-dagger
-    for axis, gate in blocks:
+    for call in blocks:
         # B's most significant qubit on axis 0: the block multiplies a view
-        assert [axis[t] for t in reversed(gate.targets)] == list(range(n))
+        assert [call.axis[t] for t in reversed(call.gate.targets)] == list(range(n))
+
+
+def _swept_and_plain(received, circuit):
+    """The amplitudes the recorded gates swept, and those the circuit's gates
+    would sweep under their own controls over the same kept qubits."""
+    kept = len(received[0].shape)  # BCaux is indexed away
+    swept = sum(2 ** (len(call.shape) - len(call.gate.targets) - len(call.controls))
+                for call in received)
+    plain = sum(2 ** (kept - len(g.targets) - len(g.controls)) for g in circuit.gates)
+    return swept, plain
 
 
 @pytest.mark.parametrize("mode,n", [("serial", 7), ("parallel", 6)])
 def test_solve_gates_sweep_only_where_their_computed_controls_fire(mode, n, monkeypatch):
-    received = []
-    apply_gate = simulator._apply_gate
-
-    def recording(tensor, axis, gate, controls):
-        received.append((tensor.ndim, gate, controls))
-        apply_gate(tensor, axis, gate, controls)
-
-    monkeypatch.setattr(simulator, "_apply_gate", recording)
+    received = record_gates(monkeypatch)
     circuit = build_qps(QpsConfig(n, mode))
     b = np.random.default_rng(5).standard_normal(2**n)
     b[0] = 0.0
     apply(inject_register(StateVector.ground(circuit.num_qubits), circuit.register("B"), b),
           circuit)
-    kept = received[0][0]  # BCaux is indexed away
-    swept = sum(2 ** (k - len(g.targets) - len(runs_under)) for k, g, runs_under in received)
-    plain = sum(2 ** (kept - len(g.targets) - len(g.controls)) for g in circuit.gates)
+    swept, plain = _swept_and_plain(received, circuit)
     # 0.147x at serial n=7 and 0.140x at parallel n=6 (0.36x and 0.41x while
     # only X-only targets were tracked); 1x while every gate ran under its own
     # controls only
     assert swept <= 0.45 * plain
-
-
-def _record_gates(monkeypatch) -> list:
-    """(working tensor rank, gate, controls it runs under) of each _apply_gate call from here on."""
-    received = []
-    apply_gate = simulator._apply_gate
-
-    def recording(tensor, axis, gate, controls):
-        received.append((tensor.ndim, gate, controls))
-        apply_gate(tensor, axis, gate, controls)
-
-    monkeypatch.setattr(simulator, "_apply_gate", recording)
-    return received
 
 
 def _injected(circuit, seed):
@@ -518,11 +476,11 @@ def _injected(circuit, seed):
 def test_bc_blocks_multiply_the_whole_kept_state(mode, n, monkeypatch):
     # E, Anc and C are |0> when BC runs, and C again when BC-dagger runs, yet no
     # block is narrowed: a dense 2**n x 2**n product's bits change with its width
-    received = _record_gates(monkeypatch)
+    received = record_gates(monkeypatch)
     solve(QpsConfig(n, mode), np.random.default_rng(n).standard_normal(2**n - 1))
-    blocks = [(gate, runs_under) for _, gate, runs_under in received if gate.kind == "block"]
-    assert [gate.label for gate, _ in blocks] == ["BC", "BC†"]
-    assert all(runs_under == () for _, runs_under in blocks)
+    blocks = [call for call in received if call.gate.kind == "block"]
+    assert [call.gate.label for call in blocks] == ["BC", "BC†"]
+    assert all(call.controls == () for call in blocks)
 
 
 @pytest.mark.parametrize("mode,ry", [("serial", "bitwise"), ("serial", "semantic"),
@@ -590,12 +548,10 @@ def test_rotation_pair_matrix_is_the_broadcast_kron_bit_for_bit():
 
 @pytest.mark.parametrize("mode,n", [("serial", 7), ("parallel", 6)])
 def test_solve_gates_sweep_only_where_tracked_qubits_allow(mode, n, monkeypatch):
-    received = _record_gates(monkeypatch)
+    received = record_gates(monkeypatch)
     circuit = build_qps(QpsConfig(n, mode))
     apply(_injected(circuit, 5), circuit)
-    kept = received[0][0]  # BCaux is indexed away
-    swept = sum(2 ** (k - len(g.targets) - len(runs_under)) for k, g, runs_under in received)
-    plain = sum(2 ** (kept - len(g.targets) - len(g.controls)) for g in circuit.gates)
+    swept, plain = _swept_and_plain(received, circuit)
     # 0.147x at serial n=7 and 0.140x at parallel n=6; 0.36x and 0.41x while
     # only X-only targets were tracked, so E pairs not yet loaded were swept
     assert swept <= 0.2 * plain
@@ -606,12 +562,7 @@ def test_apply_peak_memory_on_a_solve_circuit():
     b = np.random.default_rng(3).standard_normal(2**6)
     b[0] = 0.0
     state = inject_register(StateVector.ground(circuit.num_qubits), circuit.register("B"), b)
-    tracemalloc.start()
-    try:
-        apply(state, circuit)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = peak_bytes(lambda: apply(state, circuit))
     # a 2 MiB state; 4.03 MiB while the all-zero BCaux half went through every gate
     assert peak < 3.5 * 2**20
 
@@ -626,12 +577,7 @@ def test_inject_then_apply_holds_one_state_while_the_gates_run():
     b = np.random.default_rng(3).standard_normal(2**6)
     b[0] = 0.0
     q, b_reg = circuit.num_qubits, circuit.register("B")
-    tracemalloc.start()
-    try:
-        out = apply(inject_register(StateVector.ground(q), b_reg, b), circuit)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    out, peak = peak_bytes(lambda: apply(inject_register(StateVector.ground(q), b_reg, b), circuit))
     # the output plus the BC block's two half-state temporaries; 2.52x while
     # apply copied an input its caller still held
     assert peak < 2.25 * out.amplitudes.nbytes
@@ -654,12 +600,9 @@ before = peak()
 solve(QpsConfig(7), rng.standard_normal(127))
 print(peak() - before)
 """
-    src = Path(__file__).resolve().parent.parent / "src"
-    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                            check=True, env={**os.environ, "PYTHONPATH": str(src)})
     state_kib = 2**21 * 8 // 1024
     # about 1.1x; 2.53x while the ground, injected and copied states overlapped
-    assert int(result.stdout) < 1.5 * state_kib
+    assert int(run_probe(probe)) < 1.5 * state_kib
 
 
 def test_inject_writes_the_full_product_bit_for_bit():
@@ -685,12 +628,7 @@ def test_solve_readout_peak_memory():
     b[0] = 0.0
     state = apply(inject_register(StateVector.ground(circuit.num_qubits), b_reg, b), circuit)
     fixed = {r: 0 for r in circuit.registers if r != b_reg} | {e_reg: 2**e_reg.width - 1, anc: 1}
-    tracemalloc.start()
-    try:
-        extract_register(state, b_reg, fixed, anc)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = peak_bytes(lambda: extract_register(state, b_reg, fixed, anc))
     # a 2 MiB state; the strided Anc = 1 half is flattened once (1 MiB), where
     # np.vdot on the view would copy it once per argument (2 MiB)
     assert peak < 0.75 * state.amplitudes.nbytes
@@ -731,7 +669,7 @@ def test_controlled_and_negative_controls():
 
 def test_block_application_matches_dense_oracle():
     rng = np.random.default_rng(11)
-    U = _random_orthogonal(4, rng)
+    U = random_orthogonal(4, rng)
     regs = (QubitRegister("q", 3, 0),)
     state = _state(rng.standard_normal(8))
     # block on qubits (0, 2): oracle via explicit kron with qubit-1 identity,
@@ -890,8 +828,16 @@ _MIXED = StateVector(3, [0.8, 0.6, 0, 0, 0, 0, 0, 0])
      "flag register 'A' is not a fixed register"),
     (lambda: inject_register(StateVector.ground(3), B, [1, 0, 0, 0]),
      "register 'B' lies outside the 3-qubit state"),
+    (lambda: StateVector(2, np.ones(3)), r"amplitude vector must have length 2\*\*2"),
+    (lambda: inject_register(StateVector.ground(4), A, [1, 0, 0]),
+     r"need 2\*\*2 amplitudes for register 'A'"),
+    (lambda: postselect(_MIXED, [0, 1], [1]), "qubits and outcome bits must align"),
+    (lambda: extract_register(StateVector(4, np.eye(16)[12]), A, {B: 4}, B),
+     "value 4 out of range for register 'B'"),
+    (lambda: fidelity([0, 0], [1, 0]), "fidelity of a zero vector is undefined"),
 ], ids=["past", "negative", "repeated", "bit-2", "float-qubit", "bool-qubit", "read-and-fixed",
-        "float-value", "numpy-float-value", "bool-value", "flag-not-fixed", "inject-past"])
+        "float-value", "numpy-float-value", "bool-value", "flag-not-fixed", "inject-past",
+        "state-length", "inject-length", "unaligned-bits", "value-past", "zero-fidelity"])
 def test_readout_rejects_addresses_it_cannot_honour(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()

@@ -1,9 +1,9 @@
 import hashlib
 
-import numpy as np
 import pytest
+from support import edit_gates, per_input_amplitudes
 
-from qps import builder, poisson, simulator, verify
+from qps import builder, poisson, verify
 from qps.circuit import Circuit, Gate
 from qps.cli import EXIT_VERIFY, main
 
@@ -21,18 +21,8 @@ def _per_input_audit(n, fault=False, branches=None):
         gates[pos] = Gate.ry(gates[pos].angle + 0.1, gates[pos].targets,
                              gates[pos].controls)
         circ = Circuit(circ.registers, gates)
-    breg = circ.register("B")
-    e = circ.register("E")
-    ones = (2**e.width - 1) << e.offset
-    worst, got = 0.0, {}
-    for j in branches or range(1, 2**n):
-        amps = np.zeros(2**n)
-        amps[j] = 1.0
-        state = simulator.inject_register(
-            simulator.StateVector.ground(circ.num_qubits), breg, amps)
-        out = simulator.apply(state, circ)
-        got[j] = out.amplitudes[(j << breg.offset) + ones].real
-        worst = max(worst, abs(got[j] - 8.0 / poisson.eigenvalue(n, j)))
+    got = per_input_amplitudes(circ, branches or range(1, 2**n))
+    worst = max(abs(amp - 8.0 / poisson.eigenvalue(n, j)) for j, amp in got.items())
     return worst, got
 
 
@@ -58,13 +48,8 @@ def test_branch_amplitudes_match_per_input_runs_at_the_middle(n):
 
 
 def _append_gate_on_b(monkeypatch):
-    original = builder.build_inversion_serial
-
-    def faulty(*args, **kwargs):
-        circ = original(*args, **kwargs)
-        return Circuit(circ.registers, [*circ.gates, Gate.x(circ.register("B").qubit(0))])
-
-    monkeypatch.setattr(builder, "build_inversion_serial", faulty)
+    edit_gates(monkeypatch, "build_inversion_serial",
+               lambda circ: [*circ.gates, Gate.x(circ.register("B").qubit(0))])
 
 
 def test_audit_rejects_a_gate_that_targets_b(monkeypatch):
