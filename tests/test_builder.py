@@ -401,12 +401,6 @@ def test_bitwise_counts_follow_the_closed_form(mode):
         assert 3 * inv.elementary_gates == 4 * n**3 + 66 * n**2 - 94 * n + 24, n
 
 
-def test_serial_qubit_count_is_3n():
-    for n in range(2, 9):
-        circ = build_qps(QpsConfig(n=n), materialize_bc=False)
-        assert circ.num_qubits == 3 * n
-
-
 # SHA-256 of every gate of build_qps (counting-only BC), serial n=2..10 and
 # parallel n=3..10 in both constructions: 14,356 gates.  Pins each angle bit,
 # control and the gate order, which the frozen report counts do not see.

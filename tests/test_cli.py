@@ -89,15 +89,6 @@ def test_solve_csv_file_and_output(tmp_path, capsys):
     assert np.max(np.abs(np.array(values) - [0.552987, 0.674065, 0.489736])) <= 1e-6
 
 
-def test_solve_out_of_simulation_bounds(capsys):
-    code, _, err = run(capsys, "solve", "--n", "7", "--preset", "sin")
-    assert code == EXIT_CONFIG
-    assert "serial simulation" in err
-    code, _, err = run(capsys, "solve", "--n", "6", "--preset", "sin",
-                       "--mode", "parallel")
-    assert code == EXIT_CONFIG
-
-
 def test_solve_json_round_trip_reproduces_bits(capsys):
     code, out, _ = run(capsys, "solve", "--n", "3", "--preset", "ramp",
                        "--output", "json")
