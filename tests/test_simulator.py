@@ -203,18 +203,21 @@ MUTATIONS = ("gate on a qubit of Q", "other X on a", "negative control on a",
 
 
 @st.composite
-def _circuits_and_inputs(draw):
-    """A circuit on 1..6 qubits, up to two of them idle, and an input state.
+def _circuits_and_inputs(draw, idle=(0, 2), sandwiches=(False, True),
+                         held=("0", "1", "mix", "tiny", "entangled")):
+    """A circuit on 1..6 qubits, `idle` (a range) of them idle, and an input state.
 
-    Optional X(a; Q) ... X(a; Q) sandwiches, whose gates run under a positive
-    control on a, come first, with any of MUTATIONS, which must break what
-    apply knows of a; then 0..8 ry (1-2 targets), x and block (1-3 targets)
-    gates on the busy qubits, under controls of either polarity.  Each qubit
-    of the input is |0>, |1>, a mix, |0> with a 1e-300 amplitude on |1> (which
-    must not pass for |0>) or left entangled; a is |0> unless mutated.
+    Where `sandwiches` allows, X(a; Q) ... X(a; Q) sandwiches, whose gates run
+    under a positive control on a, come first, with any of MUTATIONS, which
+    must break what apply knows of a; then 0..8 ry (1-2 targets), x and block
+    (1-3 targets) gates on the busy qubits, under controls of either polarity.
+    Each qubit of the input is one of `held`: |0>, |1>, a mix, |0> with a
+    1e-300 amplitude on |1> (which must not pass for |0>) or left entangled;
+    a is |0> unless mutated.
     """
     q = draw(st.integers(1, 6))
-    busy = draw(st.permutations(range(q)))[draw(st.integers(0, min(2, q - 1))):]
+    busy = draw(st.permutations(range(q)))[draw(st.integers(min(idle[0], q - 1),
+                                                            min(idle[1], q - 1))):]
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
     def gate(kind, targets, controls):
@@ -228,7 +231,7 @@ def _circuits_and_inputs(draw):
         return draw(st.sampled_from(options))
 
     gates, a, mutations = [], None, []
-    if len(busy) > 1 and draw(st.booleans()):
+    if len(busy) > 1 and pick(sandwiches):
         a, *others = draw(st.permutations(busy))
         read = others[:draw(st.integers(0, min(2, len(others) - 1)))]  # the qubits of Q
         free = others[len(read):]
@@ -266,24 +269,60 @@ def _circuits_and_inputs(draw):
 
     amps = rng.standard_normal((2,) * q)
     for t in range(q):
-        held = "0" if t == a and "a not at |0> on input" not in mutations else \
-            pick(["0", "1", "mix", "tiny", "entangled"])
-        if held != "entangled":
+        kind = "0" if t == a and "a not at |0> on input" not in mutations else pick(held)
+        if kind != "entangled":
             factor = {"0": [1.0, 0.0], "1": [0.0, 1.0], "mix": rng.standard_normal(2),
-                      "tiny": [1.0, 1e-300]}[held]
+                      "tiny": [1.0, 1e-300]}[kind]
             amps = np.take(amps, [0], axis=q - 1 - t) * np.reshape(factor, (2,) + (1,) * t)
-    # + 0.0 turns each -0.0 into +0.0, as apply returns a skipped half
-    return Circuit((QubitRegister("q", q, 0),), gates), _state(amps.reshape(-1) + 0.0)
+    return Circuit((QubitRegister("q", q, 0),), gates), _state(amps.reshape(-1))
 
 
-@settings(max_examples=300, deadline=None)
-@given(case=_circuits_and_inputs())
-def test_apply_matches_the_plain_loop_bytes_and_the_kron_oracle(case):
+def _check_apply(case):
+    """apply returns float64, the plain loop's bits, and the oracle to 1e-12.
+
+    Bits up to the sign of a zero: where apply skips a gate over exactly-zero
+    amplitudes, a -0.0 stays that the plain loop's product turns into +0.0.
+    """
     circuit, state = case
     out = apply(state, circuit).amplitudes
     assert out.dtype == np.float64
-    assert out.tobytes() == _plain_apply(state, circuit).tobytes()
+    assert np.array_equal(out, _plain_apply(state, circuit))
     assert np.max(np.abs(out - _oracle_apply(state, circuit))) <= 1e-12
+
+
+# five slices of the one strategy, 300 examples in all, each checked alike
+
+@settings(max_examples=50, deadline=None)
+@given(case=_circuits_and_inputs(idle=(0, 0), sandwiches=(False,), held=("entangled",)))
+def test_apply_matches_kron_oracle(case):
+    _check_apply(case)
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=_circuits_and_inputs(idle=(1, 2), sandwiches=(False,)))
+def test_apply_with_idle_qubits_matches_kron_oracle(case):
+    _check_apply(case)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_circuits_and_inputs(sandwiches=(True,)))
+def test_gates_under_an_x_computed_control_match_the_plain_loop(case):
+    _check_apply(case)
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=_circuits_and_inputs(sandwiches=(False,), held=("0", "1", "entangled")))
+def test_apply_in_its_working_axis_order_matches_the_plain_loop_bit_for_bit(case):
+    # blocks lead the working order where no ry or x targets them; an idle
+    # qubit at |0> is indexed away and one at |1> is kept
+    _check_apply(case)
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=_circuits_and_inputs(idle=(0, 0), sandwiches=(False,),
+                                 held=("0", "1", "mix", "tiny")))
+def test_gates_where_tracked_qubits_stay_at_zero_match_the_plain_loop(case):
+    _check_apply(case)
 
 
 def test_a_widened_gate_may_leave_no_qubit_free(monkeypatch):
@@ -335,17 +374,25 @@ def test_blas_rounds_each_column_of_a_small_product_alike_wherever_it_sits(width
 
 
 @pytest.mark.parametrize("mode,n", [("serial", 6), ("parallel", 5)])
-def test_bc_blocks_multiply_the_whole_kept_state_with_b_on_the_leading_axes(mode, n, monkeypatch):
+def test_bc_blocks_arrive_with_b_on_the_leading_axes(mode, n, monkeypatch):
+    received = record_gates(monkeypatch)
+    solve(QpsConfig(n, mode), np.random.default_rng(n).standard_normal(2**n - 1))
+    blocks = [call for call in received if call.gate.kind == "block"]
+    assert len(blocks) == 2  # BC and BC-dagger
+    for call in blocks:
+        # B's most significant qubit on axis 0: the block multiplies a view
+        assert [call.axis[t] for t in reversed(call.gate.targets)] == list(range(n))
+
+
+@pytest.mark.parametrize("mode,n", [("serial", 6), ("parallel", 5)])
+def test_bc_blocks_multiply_the_whole_kept_state(mode, n, monkeypatch):
     # E, Anc and C are |0> when BC runs, and C again when BC-dagger runs, yet no
     # block is narrowed: a dense 2**n x 2**n product's bits change with its width
     received = record_gates(monkeypatch)
     solve(QpsConfig(n, mode), np.random.default_rng(n).standard_normal(2**n - 1))
     blocks = [call for call in received if call.gate.kind == "block"]
     assert [call.gate.label for call in blocks] == ["BC", "BC†"]
-    for call in blocks:
-        assert call.controls == ()
-        # B's most significant qubit on axis 0: the block multiplies a view
-        assert [call.axis[t] for t in reversed(call.gate.targets)] == list(range(n))
+    assert all(call.controls == () for call in blocks)
 
 
 def _injected(circuit, seed):
