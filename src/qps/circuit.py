@@ -31,6 +31,7 @@ once per run of such gates, not once per gate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from itertools import groupby, islice
 from operator import attrgetter, itemgetter
@@ -109,6 +110,8 @@ class Gate:
         if kind == "ry":
             if angle is None:
                 raise ValueError("ry gate needs an angle")
+            if not math.isfinite(angle):
+                raise ValueError(f"ry angle must be finite, got {float(angle)!r}")
             if len(targets) > 2:
                 raise ValueError("ry supports one or two targets")
         if kind == "x" and len(targets) != 1:

@@ -20,18 +20,8 @@ import numpy as np
 
 from . import bounds
 from .poisson import eigenvalue
-from .real import is_integer
 
 LN2 = math.log(2.0)
-
-
-def odd_factor(j: int) -> tuple[int, int]:
-    """(m, i) with j = 2**m * i, i odd and m maximal (the trailing-zero count)."""
-    if not is_integer(j) or j < 1:
-        raise ValueError(f"index must be a positive integer, got {j!r}")
-    j = int(j)  # a numpy integer has no bit_length
-    m = (j & -j).bit_length() - 1
-    return m, j >> m
 
 
 def sine_angle(k: int, i) -> float | np.ndarray:
@@ -41,30 +31,9 @@ def sine_angle(k: int, i) -> float | np.ndarray:
     return abs((1 << k) - t) / (1 << (k + 1)) * math.pi
 
 
-def inversion_angles(n: int, j: int) -> tuple[float, ...]:
-    """The n-1 angles whose sine product squares to 8/lambda_j.
-
-    The first m are the constant pi/6; the rest carry k = n-m down to 2.
-    """
-    if not is_integer(n) or n < 2:
-        raise ValueError(f"n must be an integer >= 2, got {n!r}")
-    if not is_integer(j) or not 1 <= j <= 2**n - 1:
-        raise ValueError(f"j must be an integer in [1, {2**n - 1}], got {j!r}")
-    m, i = odd_factor(j)
-    # the range is empty for j = 2**(n-1), where m = n-1
-    return (math.pi / 6.0,) * m + tuple(sine_angle(k, i) for k in range(n - m, 1, -1))
-
-
-def inversion_value(angles: tuple[float, ...]) -> float:
-    """(prod sin(angles))**2; equals 8/lambda_j for inversion_angles(n, j)."""
-    p = 1.0
-    for a in angles:
-        p *= math.sin(a)
-    return p * p
-
-
 def inversion_identity_error(n: int) -> float:
-    """Max over j of |value - 8/lambda_j| / (8/lambda_j), per module in inversion_value's order."""
+    """Max over j = 2**m * i of |value - 8/lambda_j| / (8/lambda_j): value squares the product
+    of sin(pi/6) once per constant slot, then sin(sine_angle(k, i)) for k = n-m down to 2."""
     bounds.check("inversion identity", n)
     targets = 8.0 / eigenvalue(n, np.arange(1, 2**n))
     worst, head = 0.0, 1.0

@@ -39,7 +39,9 @@ indexes, so `apply` builds no gate.  While a qubit is |0>, a gate with a
 positive control on it is skipped and each other ry or x gate runs under
 (qubit, 0) too; at [Q] a gate with a positive control on it runs under the pairs
 of Q on none of its own controls and targets too.  No block is narrowed, since
-a dense block's bits can change with its width.  The bits are the plain loop's.
+a dense block's bits can change with its width.  The bits match the plain
+loop's up to the sign of a zero: an underflowed -0.0 that `apply` skips over
+stays -0.0, while the plain loop's later gate turns it into +0.0.
 
 No check or readout copies the state: `inject_register` writes only the rows
 it loads, `postselect` returns P and `extract_register` (P, vector).
@@ -86,7 +88,7 @@ class StateVector:
             )
         norm = np.linalg.norm(amps)
         if not abs(norm - 1.0) <= NORM_TOL:
-            raise ValueError(f"statevector norm {norm!r} deviates from 1")
+            raise ValueError(f"statevector norm {float(norm)!r} deviates from 1")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 

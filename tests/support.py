@@ -5,6 +5,7 @@ helper returns what it found and the test that calls it does the checking.
 """
 
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -16,6 +17,8 @@ import numpy as np
 
 from qps import builder, simulator
 from qps.circuit import Circuit, Gate
+from qps.identities import sine_angle
+from qps.real import is_integer
 from qps.simulator import StateVector, apply, inject_register
 
 TESTS = Path(__file__).resolve().parent
@@ -25,6 +28,31 @@ SRC = TESTS.parent / "src"
 def random_orthogonal(dim, rng):
     q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
     return q
+
+
+def odd_factor(j: int) -> tuple[int, int]:
+    """(m, i) with j = 2**m * i, i odd and m maximal (the trailing-zero count)."""
+    if not is_integer(j) or j < 1:
+        raise ValueError(f"index must be a positive integer, got {j!r}")
+    j = int(j)  # a numpy integer has no bit_length
+    m = (j & -j).bit_length() - 1
+    return m, j >> m
+
+
+def inversion_angles(n: int, j: int) -> tuple[float, ...]:
+    """The n-1 angles whose sine product squares to 8/lambda_j, one j at a time:
+    the scalar reference for `identities.inversion_identity_error` and for the
+    angles the semantic builder fires.
+
+    The first m are the constant pi/6; the rest carry k = n-m down to 2.
+    """
+    if not is_integer(n) or n < 2:
+        raise ValueError(f"n must be an integer >= 2, got {n!r}")
+    if not is_integer(j) or not 1 <= j <= 2**n - 1:
+        raise ValueError(f"j must be an integer in [1, {2**n - 1}], got {j!r}")
+    m, i = odd_factor(j)
+    # the range is empty for j = 2**(n-1), where m = n-1
+    return (math.pi / 6.0,) * m + tuple(sine_angle(k, i) for k in range(n - m, 1, -1))
 
 
 def gate_fields(gates):

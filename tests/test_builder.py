@@ -14,6 +14,7 @@ from support import (
     bits,
     fail,
     gate_fields,
+    inversion_angles,
     peak_bytes,
     per_input_amplitudes,
     run_probe,
@@ -34,7 +35,6 @@ from qps.builder import (
     standard_registers,
 )
 from qps.circuit import Circuit, Gate, _check_orthogonal, count_resources
-from qps.identities import inversion_angles
 from qps.poisson import (
     TridiagonalSystem,
     dst,

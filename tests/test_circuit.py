@@ -43,6 +43,15 @@ def test_gate_validation():
             make()
 
 
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_ry_rejects_a_non_finite_angle(angle):
+    # apply would otherwise fail far from the cause: a nan norm, or math's domain error
+    for make in (lambda: Gate.ry(angle, 0), lambda: Gate("ry", (0,), (), np.float64(angle))):
+        with pytest.raises(ValueError) as exc:
+            make()
+        assert str(exc.value) == f"ry angle must be finite, got {angle!r}"
+
+
 class _ReferenceGate:
     """Gate's fields set as a generated dataclass __init__ sets them, then checked
     by the validating __post_init__ that Gate had before its own __init__."""

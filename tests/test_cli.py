@@ -242,6 +242,39 @@ def test_each_test_helper_is_defined_once():
     assert {name: files for name, files in defined.items() if len(files) > 1} == {}
 
 
+def _names_used(path, strings=False):
+    """Every name, attribute and imported name path reads, plus its string
+    constants when strings is set; a def's own name is not a use."""
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.add(node.value)
+    return used
+
+
+def test_every_public_qps_name_has_a_caller_outside_the_tests():
+    # a public function or class that only tests call is a test oracle and
+    # lives in tests/; perfbench names what it traces as strings, and
+    # test_acceptance.py stands for the package's frozen caller
+    root = Path(__file__).resolve().parent.parent
+    sources = sorted((root / "src" / "qps").glob("*.py"))
+    used = set().union(*map(_names_used, sources),
+                       *(_names_used(path, strings=True)
+                         for path in sorted((root / "perfbench").glob("*.py"))),
+                       _names_used(root / "tests" / "test_acceptance.py"))
+    unused = [f"{path.name}: {node.name}" for path in sources
+              for node in ast.parse(path.read_text()).body
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+              and not node.name.startswith("_") and node.name not in used]
+    assert unused == []
+
+
 def _first(gates, predicate):
     return next(i for i, g in enumerate(gates) if predicate(g))
 

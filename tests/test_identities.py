@@ -4,17 +4,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from support import inversion_angles, odd_factor
 
 from qps.identities import (
-    inversion_angles,
     inversion_identity_error,
-    inversion_value,
-    odd_factor,
     odd_layer_residual,
     sine_angle,
     sine_formula_residual,
 )
 from qps.poisson import EPS, eigenvalue
+
+
+def inversion_value(angles: tuple[float, ...]) -> float:
+    """(prod sin(angles))**2; equals 8/lambda_j for inversion_angles(n, j)."""
+    p = 1.0
+    for a in angles:
+        p *= math.sin(a)
+    return p * p
 
 
 def test_odd_factor_examples():

@@ -34,6 +34,12 @@ def test_statevector_normalization_enforced():
         StateVector(1, np.array([1.0, 1.0]))
 
 
+def test_statevector_reports_a_bad_norm_as_a_plain_float():
+    with pytest.raises(ValueError) as exc:
+        StateVector(1, [0.5, 0.5])
+    assert str(exc.value) == "statevector norm 0.7071067811865476 deviates from 1"
+
+
 @pytest.mark.parametrize("make,count", [
     (lambda: StateVector(2.0, [1.0, 0.0, 0.0, 0.0]), "2.0"),
     (lambda: StateVector(True, [0.0, 1.0]), "True"),
